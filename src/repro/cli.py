@@ -251,7 +251,7 @@ def _analyze_supervision(args: argparse.Namespace, path: Path):
     """
     from repro.runtime.checkpoint import CheckpointJournal
     from repro.runtime.retry import RetryPolicy
-    from repro.runtime.supervisor import SupervisorPolicy
+    from repro.parallel.scheduler import SupervisorPolicy
 
     supervised = args.supervised or args.resume or args.timeout is not None
     if not supervised:

@@ -41,7 +41,7 @@ class AnalysisOutcome:
     #: executions it took to reach this terminal outcome (supervised runs
     #: may retry transient failures; unsupervised runs always report 1)
     attempts: int = 1
-    #: attempts killed at the supervisor's wall-clock timeout
+    #: attempts killed at the scheduler's wall-clock timeout
     timeouts: int = 0
     #: canonical SHA-256 of the value (:mod:`repro.parallel.golden`),
     #: filled when fingerprinting was requested; survives even when the
@@ -201,8 +201,8 @@ def run_analysis(name: str, fn, *, strict: bool,
 
     ``fingerprint=True`` additionally stamps the outcome with the
     canonical SHA-256 of the value (see :mod:`repro.parallel.golden`);
-    the parallel scheduler always requests this so equivalence against
-    the serial path stays checkable even for values that cannot pickle.
+    the scheduler always requests this so equivalence across its
+    settings stays checkable even for values that cannot pickle.
     """
     base = (AnalysisStatus.DEGRADED if degraded_inputs else AnalysisStatus.OK)
     start = _time.perf_counter()

@@ -1,11 +1,9 @@
-"""Parallel execution: process-pool scheduling, caching, equivalence.
+"""Parallel execution: the analysis executor, caching, equivalence.
 
-The package holds the three pieces PR 4 adds on top of the crash-safe
-runtime:
-
-* :mod:`repro.parallel.scheduler` — a dependency-aware process pool that
-  runs up to ``--jobs N`` analyses concurrently with the PR 3
-  supervisor's timeout/retry/journal semantics intact,
+* :mod:`repro.parallel.scheduler` — the one analysis executor behind
+  ``run_all``: in-process, one supervised forked slot, or a pool of
+  ``--jobs N`` forked workers, with per-attempt timeouts, bounded
+  retries and journaled terminal outcomes (:class:`SupervisorPolicy`),
 * :mod:`repro.parallel.cache` — a content-addressed result cache keyed
   on (corpus digest, config hash, analysis name),
 * :mod:`repro.parallel.golden` — canonical value fingerprints proving a
@@ -14,11 +12,17 @@ runtime:
 
 from repro.parallel.cache import ResultCache, corpus_digest
 from repro.parallel.golden import FINGERPRINT_VERSION, value_fingerprint
-from repro.parallel.scheduler import resolve_jobs, run_parallel, schedule_order
+from repro.parallel.scheduler import (
+    SupervisorPolicy,
+    resolve_jobs,
+    run_parallel,
+    schedule_order,
+)
 
 __all__ = [
     "FINGERPRINT_VERSION",
     "ResultCache",
+    "SupervisorPolicy",
     "corpus_digest",
     "resolve_jobs",
     "run_parallel",

@@ -1,6 +1,6 @@
 """repro.runtime — the crash-safe execution layer.
 
-Four pieces make long ``generate``/``analyze`` jobs survivable:
+The pieces that make long ``generate``/``analyze`` jobs survivable:
 
 * :mod:`repro.runtime.atomic` — temp-file + fsync + rename writes, so no
   artifact is ever observed half-written;
@@ -8,17 +8,17 @@ Four pieces make long ``generate``/``analyze`` jobs survivable:
   committed steps that ``--resume`` replays;
 * :mod:`repro.runtime.generate` — day-segmented, checkpointed corpus
   generation (byte-identical after a mid-run kill + resume);
-* :mod:`repro.runtime.supervisor` — per-analysis child processes with
-  wall-clock timeouts and bounded, jittered retries
-  (:mod:`repro.runtime.retry`), so a hung or OOM-killed analysis becomes
-  a ``failed`` StudyReport entry instead of a dead run.
+* :mod:`repro.runtime.fork` — the one way the package forks a worker:
+  workers die with their parent and hold no sibling's pipe open;
+* :mod:`repro.runtime.retry` — the retry classification and the bounded,
+  jittered backoff the analysis scheduler
+  (:mod:`repro.parallel.scheduler`) applies to transient failures.
 
 :mod:`repro.runtime.chaos` provides the environment-driven kill/hang
 hooks the chaos tests (and the CI chaos job) drive.
 
-The corpus-facing submodules (:mod:`~repro.runtime.generate`,
-:mod:`~repro.runtime.supervisor`) are loaded lazily via PEP 562 so that
-low-level modules (``repro.corpus.*``) can import
+The corpus-facing :mod:`~repro.runtime.generate` is loaded lazily via
+PEP 562 so that low-level modules (``repro.corpus.*``) can import
 :mod:`repro.runtime.atomic` without creating an import cycle.
 """
 
@@ -39,8 +39,6 @@ _LAZY = {
     "SEGMENT_DIR": ("repro.runtime.generate", "SEGMENT_DIR"),
     "checkpointed_generate": ("repro.runtime.generate",
                               "checkpointed_generate"),
-    "SupervisorPolicy": ("repro.runtime.supervisor", "SupervisorPolicy"),
-    "run_supervised": ("repro.runtime.supervisor", "run_supervised"),
 }
 
 __all__ = [
@@ -49,7 +47,6 @@ __all__ = [
     "JOURNAL_FILE",
     "RetryPolicy",
     "SEGMENT_DIR",
-    "SupervisorPolicy",
     "atomic_write_bytes",
     "atomic_write_text",
     "atomic_writer",
@@ -57,7 +54,6 @@ __all__ = [
     "fsync_dir",
     "is_retryable_exception",
     "remove_stale_tmp",
-    "run_supervised",
 ]
 
 

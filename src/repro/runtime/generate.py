@@ -29,7 +29,9 @@ journal commit stays in the parent — a single journal writer keeps the
 append-only file coherent and keeps the chaos hook (which fires inside
 ``commit``) meaningful.  Segment bytes are deterministic regardless of
 worker count, and ``--resume`` semantics are unchanged: a parallel run
-can resume a serial one and vice versa.
+can resume a serial one and vice versa.  Workers are started by
+:func:`~repro.runtime.fork.fork_worker`, so they die with a killed
+parent instead of outliving it.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from repro.corpus.manifest import (
 from repro.errors import CheckpointError
 from repro.runtime.atomic import atomic_writer, remove_stale_tmp
 from repro.runtime.checkpoint import CheckpointJournal
-from repro.runtime.supervisor import _fork_context
+from repro.runtime.fork import fork_available, fork_worker
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.runner import ScenarioResult, run_scenario
 
@@ -217,12 +219,10 @@ def _write_segments(result: ScenarioResult, seg_dir: Path,
 
     if jobs is None or jobs == 0:
         jobs = os.cpu_count() or 1
-    if jobs > 1 and len(pending) > 1:
-        ctx = _fork_context()
-        if ctx is not None:
-            _write_pending_parallel(pending, seg_dir, journal, report,
-                                    min(jobs, len(pending)), ctx, telem)
-            return paths
+    if jobs > 1 and len(pending) > 1 and fork_available():
+        _write_pending_parallel(pending, seg_dir, journal, report,
+                                min(jobs, len(pending)), telem)
+        return paths
 
     for plane, day, chunk in pending:
         path = _write_segment_file(seg_dir, plane, day, chunk)
@@ -254,8 +254,8 @@ def _segment_worker(conn, tasks, seg_dir: Path) -> None:
 
     Workers never touch the journal — the parent is the single journal
     writer.  Temp names from ``atomic_writer`` are ``mkstemp``-unique, so
-    concurrent workers (or an orphan surviving a killed parent) cannot
-    collide; only the atomic rename publishes a segment.
+    concurrent workers cannot collide; only the atomic rename publishes a
+    segment.
     """
     try:
         for plane, day, chunk in tasks:
@@ -270,7 +270,7 @@ def _segment_worker(conn, tasks, seg_dir: Path) -> None:
 
 def _write_pending_parallel(pending, seg_dir: Path,
                             journal: CheckpointJournal,
-                            report: GenerateReport, jobs: int, ctx,
+                            report: GenerateReport, jobs: int,
                             telem) -> None:
     """Fan pending segments round-robin across ``jobs`` forked workers."""
     conns = {}
@@ -279,11 +279,7 @@ def _write_pending_parallel(pending, seg_dir: Path,
         shard = pending[i::jobs]
         if not shard:
             continue
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(target=_segment_worker,
-                           args=(child_conn, shard, seg_dir), daemon=True)
-        proc.start()
-        child_conn.close()
+        proc, parent_conn = fork_worker(_segment_worker, shard, seg_dir)
         conns[parent_conn] = proc
         procs.append(proc)
     telem.gauge("runtime.segment_workers").set(len(procs))

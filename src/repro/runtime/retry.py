@@ -1,6 +1,6 @@
 """Retry policy: bounded attempts, exponential backoff, deterministic jitter.
 
-The supervisor retries an analysis only when the failure looks
+The analysis scheduler retries an attempt only when the failure looks
 *transient*: the child was killed (OOM, stray signal), hit its wall-clock
 timeout, or died raising an OS-level error.  Typed
 :class:`~repro.errors.ReproError` failures — :class:`IngestError`,
@@ -83,13 +83,13 @@ class RetryPolicy:
 class BackoffTimer:
     """Stateful, unbounded backoff pacing for reconnect loops.
 
-    The supervisor's :class:`RetryPolicy` models a *bounded* number of
-    re-executions; a live-feed tap instead reconnects indefinitely, with
-    the delay growing per consecutive failure and resetting once the feed
-    recovers.  This wraps a policy plus a seeded RNG so a given
-    ``(policy, seed)`` replays the exact same delay sequence — including
-    across :meth:`reset` boundaries, because the jitter stream is drawn
-    from one RNG and never re-seeded mid-run.
+    The analysis scheduler's :class:`RetryPolicy` models a *bounded*
+    number of re-executions; a live-feed tap instead reconnects
+    indefinitely, with the delay growing per consecutive failure and
+    resetting once the feed recovers.  This wraps a policy plus a seeded
+    RNG so a given ``(policy, seed)`` replays the exact same delay
+    sequence — including across :meth:`reset` boundaries, because the
+    jitter stream is drawn from one RNG and never re-seeded mid-run.
 
     ``attempt`` counts consecutive failures since the last reset; it is
     what callers compare against their give-up threshold.

@@ -43,6 +43,7 @@ from repro.corpus.platform import load_platform, read_platform_meta
 from repro.dataplane.packet import PACKET_DTYPE
 from repro.errors import CorpusError, IngestError, ReproError, StreamError
 from repro.parallel.cache import ResultCache
+from repro.parallel.scheduler import ingest_warnings
 from repro.runtime.generate import (
     JOURNAL_FILE,
     SEGMENT_DIR,
@@ -50,7 +51,6 @@ from repro.runtime.generate import (
     _segment_name,
 )
 from repro.runtime.checkpoint import CheckpointJournal
-from repro.runtime.supervisor import ingest_warnings
 from repro.streaming.reducers import (
     ControlReducer,
     PreRTBHReducer,

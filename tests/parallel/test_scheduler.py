@@ -1,6 +1,8 @@
-"""Tests for the parallel analysis scheduler against a stub pipeline:
-concurrent dispatch, deterministic merging, retry/timeout parity with
-the serial supervisor, journal resume, and strict-stop semantics."""
+"""Tests for the analysis executor against a stub pipeline: the
+in-process reference setting, supervision in one forked slot and in a
+pool (process isolation, timeout kills, retry budgets, the seeded backoff
+schedule, journal resume, the ``supervisor.*`` counters), concurrent
+dispatch, deterministic merging, and strict-stop semantics."""
 
 import os
 import signal
@@ -12,10 +14,15 @@ from repro import telemetry
 from repro.core.study import AnalysisStatus
 from repro.errors import AnalysisError, SupervisorError
 from repro.parallel.cache import ResultCache
-from repro.parallel.scheduler import resolve_jobs, run_parallel, schedule_order
+from repro.parallel.scheduler import (
+    ANALYSIS_KEY,
+    SupervisorPolicy,
+    resolve_jobs,
+    run_parallel,
+    schedule_order,
+)
 from repro.runtime.checkpoint import CheckpointJournal
 from repro.runtime.retry import RetryPolicy
-from repro.runtime.supervisor import ANALYSIS_KEY, SupervisorPolicy
 
 
 class StubPipeline:
@@ -23,6 +30,15 @@ class StubPipeline:
     ``degraded_inputs``, and (absent) corpora."""
 
     degraded_inputs = False
+
+    def __init__(self):
+        self.warm_calls = 0
+
+    def analysis_fn(self, name):
+        return getattr(self, name)
+
+    def warm_shared_caches(self):
+        self.warm_calls += 1
 
     def ok_fast(self):
         return {"answer": 42}
@@ -48,7 +64,12 @@ class StubPipeline:
         os.kill(os.getpid(), signal.SIGKILL)
 
     def big_value(self):
+        # larger than a pipe buffer: the parent must drain the pipe
+        # before joining or the worker blocks in send() forever
         return list(range(200_000))
+
+    def buggy(self):
+        raise RuntimeError("a programming error")
 
 
 def no_sleep_policy(**kwargs):
@@ -176,12 +197,11 @@ class TestJournal:
         assert outcome.value is None  # values are not persisted
 
     def test_serial_journal_resumes_in_parallel(self, tmp_path):
-        from repro.runtime.supervisor import run_supervised
-
+        # a journal written by one forked slot resumes in a 4-job pool
         journal = self.start_journal(tmp_path)
         policy, _ = no_sleep_policy()
-        run_supervised(StubPipeline(), analyses=["ok_fast"], policy=policy,
-                       journal=journal)
+        run_parallel(StubPipeline(), analyses=["ok_fast"], jobs=1,
+                     policy=policy, journal=journal)
         pipeline = StubPipeline()
         pipeline.ok_fast = pipeline.dies
         resumed = CheckpointJournal.load(journal.path)
@@ -272,3 +292,212 @@ class TestScheduleOrder:
         assert order.index("fig7_top_sources") < order.index("fig8_org_types")
         assert order.index("sec54_protocol_mix") < \
             order.index("table3_amplification")
+
+
+class TestInProcess:
+    """No policy and ``jobs=1``: the serial reference setting."""
+
+    def test_runs_in_this_process_without_warming(self):
+        pipeline = StubPipeline()
+        pipeline.where = os.getpid
+        report = run_parallel(pipeline, analyses=["where"], jobs=1)
+        assert report.outcomes[0].value == os.getpid()
+        assert pipeline.warm_calls == 0  # intermediates stay lazy
+
+    def test_untyped_exception_propagates(self):
+        with pytest.raises(RuntimeError, match="a programming error"):
+            run_parallel(StubPipeline(), analyses=["ok_fast", "buggy"],
+                         jobs=1)
+
+    def test_typed_failure_is_captured_or_reraised_under_strict(self):
+        report = run_parallel(StubPipeline(), analyses=["typed_failure"],
+                              jobs=1)
+        assert report.outcomes[0].status is AnalysisStatus.FAILED
+        with pytest.raises(AnalysisError, match="^insufficient data$"):
+            run_parallel(StubPipeline(), analyses=["typed_failure"],
+                         jobs=1, strict=True)
+
+    def test_cache_is_served_and_filled(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        keys = {"cache": cache, "corpus_digest": "c0ffee",
+                "config_hash": "cfg"}
+        first = run_parallel(StubPipeline(), analyses=["ok_fast"], jobs=1,
+                             **keys)
+        pipeline = StubPipeline()
+        pipeline.ok_fast = pipeline.buggy  # a real re-run would raise
+        second = run_parallel(pipeline, analyses=["ok_fast"], jobs=1, **keys)
+        assert not first.outcomes[0].cached and second.outcomes[0].cached
+        assert first.canonical_json() == second.canonical_json()
+
+
+class TestWarming:
+    def test_forked_run_warms_once(self):
+        pipeline = StubPipeline()
+        run_parallel(pipeline, analyses=["ok_fast", "ok_other"], jobs=2)
+        assert pipeline.warm_calls == 1
+
+    def test_nothing_to_dispatch_never_warms(self, tmp_path):
+        keys = {"cache": ResultCache(tmp_path / "cache"),
+                "corpus_digest": "c0ffee", "config_hash": "cfg"}
+        run_parallel(StubPipeline(), analyses=["ok_fast"], jobs=2, **keys)
+        pipeline = StubPipeline()
+        report = run_parallel(pipeline, analyses=["ok_fast"], jobs=2, **keys)
+        assert report.outcomes[0].cached
+        assert pipeline.warm_calls == 0
+
+
+@pytest.mark.parametrize("jobs", [1, 3], ids=["jobs1", "jobs3"])
+class TestSupervision:
+    """Supervised attempts behave the same in one forked slot and in a
+    pool."""
+
+    def test_ok_value_crosses_the_pipe(self, jobs):
+        policy, _ = no_sleep_policy()
+        report = run_parallel(StubPipeline(), analyses=["ok_fast"],
+                              jobs=jobs, policy=policy)
+        (outcome,) = report.outcomes
+        assert outcome.status is AnalysisStatus.OK
+        assert outcome.value == {"answer": 42}
+        assert outcome.attempts == 1 and outcome.timeouts == 0
+
+    def test_large_value_does_not_deadlock_the_pipe(self, jobs):
+        policy, _ = no_sleep_policy(timeout=30.0)
+        report = run_parallel(StubPipeline(), analyses=["big_value"],
+                              jobs=jobs, policy=policy)
+        (outcome,) = report.outcomes
+        assert outcome.status is AnalysisStatus.OK
+        assert len(outcome.value) == 200_000
+
+    def test_typed_failure_is_terminal_without_retry(self, jobs):
+        policy, slept = no_sleep_policy()
+        report = run_parallel(StubPipeline(), analyses=["typed_failure"],
+                              jobs=jobs, policy=policy)
+        (outcome,) = report.outcomes
+        assert outcome.status is AnalysisStatus.FAILED
+        assert outcome.error_type == "AnalysisError"
+        assert outcome.attempts == 1
+        assert slept == []  # deterministic data problem: never retried
+
+    def test_untyped_bug_is_terminal_without_retry(self, jobs):
+        policy, slept = no_sleep_policy()
+        report = run_parallel(StubPipeline(), analyses=["buggy"],
+                              jobs=jobs, policy=policy)
+        (outcome,) = report.outcomes
+        assert outcome.status is AnalysisStatus.FAILED
+        assert outcome.error_type == "RuntimeError"
+        assert outcome.attempts == 1 and slept == []
+
+    def test_degraded_inputs_propagate(self, jobs):
+        pipeline = StubPipeline()
+        pipeline.degraded_inputs = True
+        policy, _ = no_sleep_policy()
+        report = run_parallel(pipeline, analyses=["ok_fast"], jobs=jobs,
+                              policy=policy)
+        assert report.outcomes[0].status is AnalysisStatus.DEGRADED
+
+    def test_transient_failure_exhausts_retry_budget(self, jobs):
+        policy, slept = no_sleep_policy(retry=RetryPolicy(max_retries=2),
+                                        seed=5)
+        report = run_parallel(StubPipeline(), analyses=["transient"],
+                              jobs=jobs, policy=policy)
+        (outcome,) = report.outcomes
+        assert outcome.status is AnalysisStatus.FAILED
+        assert outcome.error_type == "OSError"
+        assert outcome.attempts == 3  # initial + max_retries
+        assert len(slept) == 2
+
+    def test_backoff_schedule_is_seeded_per_analysis(self, jobs):
+        policy, slept = no_sleep_policy(retry=RetryPolicy(max_retries=2),
+                                        seed=5)
+        run_parallel(StubPipeline(), analyses=["transient"], jobs=jobs,
+                     policy=policy)
+        # the idle scheduler sleeps out each backoff, less the few
+        # microseconds spent between scheduling the retry and sleeping
+        expected = RetryPolicy(max_retries=2).schedule(seed="5:transient")
+        assert slept == pytest.approx(expected, abs=0.05)
+
+    def test_killed_child_is_retried_then_failed(self, jobs):
+        policy, slept = no_sleep_policy(retry=RetryPolicy(max_retries=1))
+        telem = telemetry.Telemetry()
+        with telemetry.activate(telem):
+            report = run_parallel(StubPipeline(), analyses=["dies"],
+                                  jobs=jobs, policy=policy)
+        (outcome,) = report.outcomes
+        assert outcome.status is AnalysisStatus.FAILED
+        assert outcome.error_type == "ChildKilled"
+        assert outcome.attempts == 2
+        assert len(slept) == 1
+        counters = report.telemetry["counters"]
+        assert counters["supervisor.kills{name=dies}"] == 2
+        assert counters["supervisor.retries{name=dies}"] == 1
+
+    def test_hung_analysis_killed_retried_and_failed(self, jobs):
+        policy, _ = no_sleep_policy(timeout=0.3,
+                                    retry=RetryPolicy(max_retries=1))
+        telem = telemetry.Telemetry()
+        with telemetry.activate(telem):
+            report = run_parallel(StubPipeline(), analyses=["hangs"],
+                                  jobs=jobs, policy=policy)
+        (outcome,) = report.outcomes
+        assert outcome.status is AnalysisStatus.FAILED
+        assert outcome.error_type == "AnalysisTimeout"
+        assert "timed out after 0.3s" in outcome.error
+        assert outcome.attempts == 2 and outcome.timeouts == 2
+        counters = report.telemetry["counters"]
+        assert counters["supervisor.timeouts{name=hangs}"] == 2
+        assert counters["supervisor.retries{name=hangs}"] == 1
+
+    def test_hung_analysis_does_not_take_down_the_rest(self, jobs):
+        policy, _ = no_sleep_policy(timeout=0.3,
+                                    retry=RetryPolicy(max_retries=0))
+        report = run_parallel(
+            StubPipeline(), analyses=["ok_fast", "hangs", "typed_failure"],
+            jobs=jobs, policy=policy)
+        by_name = {o.name: o for o in report.outcomes}
+        assert by_name["ok_fast"].status is AnalysisStatus.OK
+        assert by_name["hangs"].status is AnalysisStatus.FAILED
+        assert by_name["typed_failure"].status is AnalysisStatus.FAILED
+        assert not report.ok
+
+    def test_terminal_outcomes_are_committed(self, jobs, tmp_path):
+        journal = CheckpointJournal(tmp_path / "journal.jsonl")
+        journal.start({"command": "analyze"})
+        policy, _ = no_sleep_policy()
+        run_parallel(StubPipeline(), analyses=["ok_fast", "typed_failure"],
+                     jobs=jobs, policy=policy, journal=journal)
+        reloaded = CheckpointJournal.load(journal.path)
+        ok = reloaded.committed(ANALYSIS_KEY + "ok_fast")
+        failed = reloaded.committed(ANALYSIS_KEY + "typed_failure")
+        assert ok["status"] == "ok" and ok["attempts"] == 1
+        assert failed["status"] == "failed"
+        assert failed["error_type"] == "AnalysisError"
+
+    def test_resume_skips_journaled_analyses(self, jobs, tmp_path):
+        journal = CheckpointJournal(tmp_path / "journal.jsonl")
+        journal.start({"command": "analyze"})
+        policy, _ = no_sleep_policy()
+        run_parallel(StubPipeline(), analyses=["ok_fast"], jobs=jobs,
+                     policy=policy, journal=journal)
+        # ``dies`` under the resumed name would SIGKILL a re-run
+        pipeline = StubPipeline()
+        pipeline.ok_fast = pipeline.dies
+        telem = telemetry.Telemetry()
+        with telemetry.activate(telem):
+            report = run_parallel(pipeline, analyses=["ok_fast"], jobs=jobs,
+                                  policy=policy,
+                                  journal=CheckpointJournal.load(journal.path))
+        (outcome,) = report.outcomes
+        assert outcome.status is AnalysisStatus.OK
+        assert outcome.value is None  # values are not persisted
+        assert report.telemetry["counters"]["supervisor.resumed"] == 1
+
+    def test_strict_failure_raises_after_journaling(self, jobs, tmp_path):
+        journal = CheckpointJournal(tmp_path / "journal.jsonl")
+        journal.start({"command": "analyze"})
+        policy, _ = no_sleep_policy()
+        with pytest.raises(AnalysisError, match="typed_failure failed"):
+            run_parallel(StubPipeline(), analyses=["typed_failure"],
+                         jobs=jobs, policy=policy, journal=journal,
+                         strict=True)
+        reloaded = CheckpointJournal.load(journal.path)
+        assert reloaded.committed(ANALYSIS_KEY + "typed_failure") is not None

@@ -4,7 +4,7 @@ run — identical corpus checksums, identical study statuses.
 
 These drive ``python -m repro`` in subprocesses because the injected
 kills (``REPRO_CHAOS_KILL_AT``) take down the whole process, and the
-hang injection (``REPRO_CHAOS_HANG``) must be killed by the supervisor
+hang injection (``REPRO_CHAOS_HANG``) must be killed by the scheduler
 across a process boundary.
 """
 
@@ -37,8 +37,11 @@ def run_cli(args, chaos=None):
            if k not in (KILL_ENV, HANG_ENV)}
     env["PYTHONPATH"] = str(SRC)
     env.update(chaos or {})
+    # a wall-clock bound turns a hung run (e.g. an orphaned worker holding
+    # the captured stdout) into a failure instead of a stalled suite
     return subprocess.run([sys.executable, "-m", "repro", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
 
 
 def manifest_files(corpus):
