@@ -1,11 +1,12 @@
 """Columnar engine — record path vs vectorized path wall-clock.
 
-The headline numbers for the columnar data plane: one 10-day corpus is
-generated (sidecars land at generate time), analysed serially on the
-record reference path, then on the columnar engine mmap-ing the
-sidecars, then at 1/2/4/8 jobs with forked workers sharing the same
-read-only buffers. Fingerprint equivalence is asserted inline — the
-canonical reports must be byte-identical, otherwise the timing is
+The headline numbers for the columnar engine: one 10-day corpus is
+generated, analysed serially on the record reference path
+(``AnalysisPipeline``), then on the production pipeline from
+``build_pipeline`` (vectorized kernels over in-memory columns), then
+through ``build_pipeline`` at 1/2/4/8 jobs with forked workers sharing
+the columns copy-on-write. Fingerprint equivalence is asserted inline —
+the canonical reports must be byte-identical, otherwise the timing is
 meaningless.
 
 The measurements land as a paper-vs-measured block in
@@ -33,8 +34,8 @@ import pytest
 from benchmarks.conftest import record_bench_json, report
 from repro import ControlPlaneCorpus, DataPlaneCorpus
 from repro.cli import _load_platform
-from repro.columnar.engine import build_pipeline
-from repro.columnar.store import sidecar_paths
+from repro.columnar import build_pipeline
+from repro.core.pipeline import AnalysisPipeline
 from repro.corpus.manifest import CONTROL_FILE, DATA_FILE
 from repro.runtime.generate import checkpointed_generate
 from repro.scenario.config import ScenarioConfig
@@ -53,13 +54,12 @@ def _timed(fn):
     return value, time.perf_counter() - start
 
 
-def _pipeline_for(corpus_dir: Path, engine: str):
+def _pipeline_for(corpus_dir: Path, build):
     control = ControlPlaneCorpus.load_jsonl(corpus_dir / CONTROL_FILE)
     data = DataPlaneCorpus.load_npz(corpus_dir / DATA_FILE)
     peers, rs_asn, peeringdb = _load_platform(corpus_dir)
-    return build_pipeline(control, data, peers, engine=engine,
-                          corpus_dir=corpus_dir, peeringdb=peeringdb,
-                          route_server_asn=rs_asn)
+    return build(control, data, peers, peeringdb=peeringdb,
+                 route_server_asn=rs_asn)
 
 
 @pytest.fixture(scope="module")
@@ -71,23 +71,22 @@ def col_config() -> ScenarioConfig:
 def test_bench_columnar_engine(col_config, tmp_path_factory):
     corpus = tmp_path_factory.mktemp("bench-columnar") / "corpus"
     checkpointed_generate(col_config, corpus)
-    control_col, data_col = sidecar_paths(corpus)
-    assert control_col.exists() and data_col.exists()
 
-    # --- serial: record reference vs columnar mmap --------------------
+    # --- serial: record reference vs columnar -------------------------
     record_report, t_records = _timed(
-        lambda: _pipeline_for(corpus, "records").run_all(strict=False))
+        lambda: _pipeline_for(corpus, AnalysisPipeline).run_all(
+            strict=False))
     columnar_report, t_columnar = _timed(
-        lambda: _pipeline_for(corpus, "columnar").run_all(strict=False))
+        lambda: _pipeline_for(corpus, build_pipeline).run_all(strict=False))
     # fingerprint equivalence, or the comparison is meaningless
     assert record_report.canonical_json() == columnar_report.canonical_json()
     speedup = t_records / t_columnar
 
-    # --- job scaling over the shared read-only buffers ----------------
+    # --- job scaling over the copy-on-write columns --------------------
     scaling = {}
     for jobs in (1, 2, 4, 8):
         jobs_report, seconds = _timed(
-            lambda j=jobs: _pipeline_for(corpus, "columnar").run_all(
+            lambda j=jobs: _pipeline_for(corpus, build_pipeline).run_all(
                 strict=False, jobs=j))
         assert jobs_report.canonical_json() == record_report.canonical_json()
         scaling[jobs] = round(seconds, 3)

@@ -27,7 +27,7 @@ Ten subcommands mirror the library's layering::
     python -m repro summary --scale 0.01 --days 14 [--json]
     python -m repro report t.jsonl
 
-``generate`` writes the corpora (plus the membership/PeeringDB sidecar and
+``generate`` writes the corpora (plus the membership/PeeringDB file and
 a checksummed ``manifest.json`` stamped with the run's provenance);
 ``validate`` integrity-checks a corpus directory without running any
 analysis; ``inject`` produces a deterministically-degraded copy of a corpus
@@ -88,7 +88,7 @@ live endpoint via ``--url``) and exits 0/4/5 for ok/degraded/unhealthy.
 
 Self-healing: ``doctor`` scrubs every durable artifact a corpus
 directory carries — journals, day segments, corpus files, manifest,
-stream checkpoint, cache entries, obs state, tap offset sidecars —
+stream checkpoint, cache entries, obs state, tap offset files —
 against the redundancy the state plane records (checksums in journal
 commits, finalize entries, and the manifest) and reports typed damage;
 ``doctor --repair`` heals what redundancy covers (truncate torn
@@ -320,11 +320,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             _write_telemetry(telem, args, manifest, started)
             print(f"error: cannot ingest corpus: {exc}", file=sys.stderr)
             return EXIT_UNREADABLE
-        from repro.columnar.engine import build_pipeline
+        from repro.columnar import build_pipeline
 
         pipeline = build_pipeline(control, data, peers,
-                                  engine=getattr(args, "engine", "auto"),
-                                  corpus_dir=path,
                                   peeringdb=peeringdb,
                                   route_server_asn=rs_asn,
                                   host_min_days=args.host_min_days)
@@ -789,14 +787,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run up to N analyses concurrently in forked "
                           "workers (0 = all CPUs, default 1 = the serial "
                           "reference path)")
-    ana.add_argument("--engine", choices=("auto", "columnar", "records"),
-                     default="auto",
-                     help="analysis engine: 'columnar' vectorizes the "
-                          "hottest analyses over mmap'd sidecars "
-                          "(deriving them if needed), 'records' is the "
-                          "reference path, 'auto' (default) uses columnar "
-                          "iff fresh sidecars already exist; results are "
-                          "bit-identical either way")
     ana.add_argument("--cache-dir", metavar="DIR",
                      help="content-addressed result cache: skip analyses "
                           "already finished for this exact corpus + config")

@@ -1,43 +1,15 @@
-"""Columnar data plane: mmap-backed struct-of-arrays corpus views and
-numpy-vectorized twins of the hottest analyses.
+"""Columnar analysis engine: numpy-vectorized twins of the hottest
+analyses over in-memory struct-of-arrays views of both corpus planes.
 
 Public surface:
 
-* :func:`repro.columnar.engine.build_pipeline` — engine-aware pipeline
-  construction (``auto`` / ``columnar`` / ``records``);
+* :func:`repro.columnar.pipeline.build_pipeline` — the one pipeline
+  constructor ``analyze``, :meth:`repro.api.Study.analyze` and the
+  streaming engine call;
 * :class:`repro.columnar.pipeline.ColumnarPipeline` — the vectorized
-  pipeline (bit-equal results, enforced by ``tests/columnar``);
-* :class:`repro.columnar.store.CorpusColumns` and the sidecar lifecycle
-  (:func:`~repro.columnar.store.write_sidecars`,
-  :func:`~repro.columnar.store.derive_sidecars`);
-* :mod:`repro.columnar.format` — the versioned ``.col`` segment format.
+  pipeline (bit-equal results, enforced by ``tests/columnar``).
 """
 
-from repro.columnar.engine import ENGINES, build_pipeline
-from repro.columnar.pipeline import ColumnarPipeline
-from repro.columnar.store import (
-    COLUMNAR_CONTROL_KEY,
-    COLUMNAR_DATA_KEY,
-    COLUMNAR_DIR,
-    CorpusColumns,
-    columnar_dir,
-    derive_sidecars,
-    sidecar_paths,
-    sidecars_fresh,
-    write_sidecars,
-)
+from repro.columnar.pipeline import ColumnarPipeline, build_pipeline
 
-__all__ = [
-    "ENGINES",
-    "build_pipeline",
-    "ColumnarPipeline",
-    "CorpusColumns",
-    "COLUMNAR_DIR",
-    "COLUMNAR_CONTROL_KEY",
-    "COLUMNAR_DATA_KEY",
-    "columnar_dir",
-    "derive_sidecars",
-    "sidecar_paths",
-    "sidecars_fresh",
-    "write_sidecars",
-]
+__all__ = ["build_pipeline", "ColumnarPipeline"]

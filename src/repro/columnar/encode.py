@@ -1,37 +1,29 @@
-"""Record ⇄ column codecs for both corpus planes.
+"""Record ⇄ column codec for the control plane.
 
-The control plane encodes each :class:`~repro.bgp.message.BGPUpdate`
-into fixed-width columns plus two offset-pooled variable-length columns
-(AS paths and communities).  The data plane is already a numpy
-structured array; encoding splits it into contiguous per-field columns
-(the whole point — ``searchsorted`` over the structured ``time`` field
-copies the strided view on every call, and that copy was 21 of the 27
-seconds of a serial bench analyze).
-
-Both codecs round-trip exactly: ``decode(encode(records)) == records``
-field for field, which the hypothesis property suite asserts.  Column
-order in a message stream is the corpus's canonical order (time-sorted,
-stable), i.e. exactly ``ControlPlaneCorpus._messages`` /
-``DataPlaneCorpus.packets``.
+Each :class:`~repro.bgp.message.BGPUpdate` encodes into fixed-width
+columns plus two offset-pooled variable-length columns (AS paths and
+communities), built in memory from the loaded corpus.  The codec
+round-trips exactly: ``decode_updates(encode_updates(msgs)) == msgs``
+field for field, which the hypothesis property suite asserts.  Row
+order is the corpus's canonical order (time-sorted, stable), i.e.
+exactly ``ControlPlaneCorpus._messages``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.bgp.community import BLACKHOLE, Community
 from repro.bgp.message import BGPUpdate, UpdateAction
-from repro.dataplane.packet import PACKET_DTYPE
-from repro.errors import ColumnarError
 from repro.net.ip import IPv4Address, IPv4Prefix
 
 #: action codes (stored u1)
 ACTION_WITHDRAW = 0
 ACTION_ANNOUNCE = 1
 
-#: fixed-width control columns, in storage order
+#: fixed-width control columns
 CONTROL_FIXED = (
     ("time", np.float64),
     ("peer_asn", np.uint32),
@@ -46,9 +38,6 @@ CONTROL_FIXED = (
     ("blackhole", np.bool_),
 )
 
-#: data-plane columns = the packet dtype's own fields
-DATA_COLUMNS = tuple(PACKET_DTYPE.names)
-
 
 def pack_community(c: Community) -> int:
     """``asn:value`` (both u16 by construction) into one u32."""
@@ -59,8 +48,7 @@ def unpack_community(packed: int) -> Community:
     return Community((packed >> 16) & 0xFFFF, packed & 0xFFFF)
 
 
-def encode_updates(messages: Sequence[BGPUpdate],
-                   ) -> List[Tuple[str, np.ndarray]]:
+def encode_updates(messages: Sequence[BGPUpdate]) -> Dict[str, np.ndarray]:
     """Columnize a message stream (order preserved)."""
     n = len(messages)
     cols = {name: np.zeros(n, dtype=dt) for name, dt in CONTROL_FIXED}
@@ -86,45 +74,23 @@ def encode_updates(messages: Sequence[BGPUpdate],
         # frozensets have no canonical order; sort for determinism
         comm_pool.extend(sorted(pack_community(c) for c in msg.communities))
         comm_offsets[i + 1] = len(comm_pool)
-    out = [(name, cols[name]) for name, _ in CONTROL_FIXED]
-    out.append(("as_path_offsets", path_offsets))
-    out.append(("as_path_values", np.asarray(path_pool, dtype=np.uint32)))
-    out.append(("community_offsets", comm_offsets))
-    out.append(("community_values", np.asarray(comm_pool, dtype=np.uint32)))
-    return out
-
-
-def _require(columns: Dict[str, np.ndarray], name: str) -> np.ndarray:
-    try:
-        return columns[name]
-    except KeyError:
-        raise ColumnarError(f"control columns missing {name!r}") from None
+    cols["as_path_offsets"] = path_offsets
+    cols["as_path_values"] = np.asarray(path_pool, dtype=np.uint32)
+    cols["community_offsets"] = comm_offsets
+    cols["community_values"] = np.asarray(comm_pool, dtype=np.uint32)
+    return cols
 
 
 def decode_updates(columns: Dict[str, np.ndarray]) -> List[BGPUpdate]:
     """Reconstruct the exact message stream from control columns."""
-    times = _require(columns, "time")
-    n = len(times)
-    peer = _require(columns, "peer_asn")
-    action = _require(columns, "action")
-    net = _require(columns, "prefix_net")
-    plen = _require(columns, "prefix_len")
-    has_nh = _require(columns, "has_next_hop")
-    nh = _require(columns, "next_hop")
-    po = _require(columns, "as_path_offsets")
-    pv = _require(columns, "as_path_values")
-    co = _require(columns, "community_offsets")
-    cv = _require(columns, "community_values")
-    for name, offsets, pool in (("as_path", po, pv),
-                                ("community", co, cv)):
-        if len(offsets) != n + 1:
-            raise ColumnarError(
-                f"{name}_offsets has {len(offsets)} entries for {n} rows")
-        if n >= 0 and (len(offsets) == 0 or offsets[-1] != len(pool)):
-            raise ColumnarError(
-                f"{name}_offsets does not close over its value pool")
+    times = columns["time"]
+    peer, action = columns["peer_asn"], columns["action"]
+    net, plen = columns["prefix_net"], columns["prefix_len"]
+    has_nh, nh = columns["has_next_hop"], columns["next_hop"]
+    po, pv = columns["as_path_offsets"], columns["as_path_values"]
+    co, cv = columns["community_offsets"], columns["community_values"]
     out: List[BGPUpdate] = []
-    for i in range(n):
+    for i in range(len(times)):
         out.append(BGPUpdate(
             time=float(times[i]),
             peer_asn=int(peer[i]),
@@ -136,29 +102,4 @@ def decode_updates(columns: Dict[str, np.ndarray]) -> List[BGPUpdate]:
             communities=frozenset(unpack_community(int(c))
                                   for c in cv[co[i]:co[i + 1]]),
         ))
-    return out
-
-
-def encode_packets(packets: np.ndarray) -> List[Tuple[str, np.ndarray]]:
-    """Split a ``PACKET_DTYPE`` record array into contiguous columns."""
-    if packets.dtype != PACKET_DTYPE:
-        raise ColumnarError(
-            f"expected PACKET_DTYPE array, got {packets.dtype}")
-    return [(name, np.ascontiguousarray(packets[name]))
-            for name in DATA_COLUMNS]
-
-
-def decode_packets(columns: Dict[str, np.ndarray]) -> np.ndarray:
-    """Reassemble the packed ``PACKET_DTYPE`` array from columns."""
-    missing = [name for name in DATA_COLUMNS if name not in columns]
-    if missing:
-        raise ColumnarError(f"data columns missing {missing}")
-    lengths = {len(columns[name]) for name in DATA_COLUMNS}
-    if len(lengths) > 1:
-        raise ColumnarError(
-            f"data column lengths differ: {sorted(lengths)}")
-    n = lengths.pop() if lengths else 0
-    out = np.zeros(n, dtype=PACKET_DTYPE)
-    for name in DATA_COLUMNS:
-        out[name] = columns[name]
     return out

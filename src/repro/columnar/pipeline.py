@@ -3,19 +3,17 @@
 :class:`ColumnarPipeline` is an :class:`~repro.core.pipeline
 .AnalysisPipeline` whose shared intermediates (events, per-event
 traffic, pre-RTBH classification) and hottest analyses are computed by
-the vectorized kernels of :mod:`repro.columnar.kernels` over a
-:class:`~repro.columnar.store.CorpusColumns` view, instead of per-event
-record scans.
+the vectorized kernels of :mod:`repro.columnar.kernels` over in-memory
+columns, instead of per-event record scans: the control plane encoded
+by :func:`~repro.columnar.encode.encode_updates`, and contiguous copies
+of the five packet fields the kernels read.
 
 Dispatch is by capability flag: registry specs with ``columnar=True``
 resolve to a ``_columnar_*`` twin, every other analysis falls through to
-the inherited record implementation — and any :class:`~repro.errors
-.ColumnarError` raised mid-analysis falls back to the record path too,
-so a damaged sidecar degrades performance, never results.  Because the
-subclass only overrides ``analysis_fn`` and the cached properties, the
-serial, supervised, and parallel runners (which duck-type both) pick the
-columnar twins up unchanged, and forked workers share the mmap-backed
-column pages read-only.
+the inherited record implementation.  Because the subclass only
+overrides ``analysis_fn`` and the cached properties, the scheduler
+(which duck-types both) picks the columnar twins up unchanged, and
+forked workers share the columns copy-on-write.
 
 Equality with the record path is *by construction*: the kernels emit the
 same intermediate objects (``RTBHEvent`` lists, ``EventTraffic``
@@ -27,19 +25,18 @@ functions run on top, so ``value_fingerprint`` digests match bit for bit
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 import numpy as np
 
 from repro import telemetry
 from repro.columnar import kernels
-from repro.columnar.store import CorpusColumns
+from repro.columnar.encode import encode_updates
 from repro.core import droprate as droprate_mod
 from repro.core import filtering as filtering_mod
 from repro.core import pre_rtbh as pre_mod
 from repro.core import protocols as protocols_mod
 from repro.core.events import (
-    DEFAULT_DELTA,
     RTBHEvent,
     events_from_merged_windows,
     merge_annotated_windows,
@@ -47,61 +44,52 @@ from repro.core.events import (
 )
 from repro.core.pipeline import AnalysisPipeline
 from repro.core.registry import get_analysis
-from repro.corpus.control import ControlPlaneCorpus
-from repro.corpus.data import DataPlaneCorpus
-from repro.errors import ColumnarError
-from repro.ixp.peeringdb import PeeringDB
+
+#: the packet fields the kernels read; ``searchsorted`` over a strided
+#: structured-array field copies it on every call, so each is copied out
+#: contiguous once
+DATA_COLUMNS = ("time", "dst_ip", "size", "dropped", "ingress_asn")
+
+
+def build_pipeline(control, data, peer_asns, *, corpus_dir=None,
+                   **pipeline_kwargs) -> "ColumnarPipeline":
+    """The pipeline ``analyze``, ``Study.analyze`` and the streaming
+    engine run.
+
+    ``pipeline_kwargs`` are the usual :class:`AnalysisPipeline` keyword
+    arguments (``peeringdb``, ``route_server_asn``, ``delta``,
+    ``host_min_days``).  ``corpus_dir`` is accepted and ignored: the
+    columns are built in memory from ``control`` and ``data``, and the
+    keyword stays only because ``perfbench/workloads.py`` passes it.
+    """
+    return ColumnarPipeline(control, data, peer_asns, **pipeline_kwargs)
 
 
 class ColumnarPipeline(AnalysisPipeline):
-    """Vectorized pipeline over struct-of-arrays corpus views."""
-
-    def __init__(
-        self,
-        control: ControlPlaneCorpus,
-        data: DataPlaneCorpus,
-        peer_asns: Sequence[int],
-        peeringdb: PeeringDB | None = None,
-        route_server_asn: int = 64_500,
-        delta: float = DEFAULT_DELTA,
-        host_min_days: int = 20,
-        columns: Optional[CorpusColumns] = None,
-    ):
-        super().__init__(control, data, peer_asns, peeringdb=peeringdb,
-                         route_server_asn=route_server_asn, delta=delta,
-                         host_min_days=host_min_days)
-        self._given_columns = columns
+    """Vectorized pipeline over in-memory struct-of-arrays columns."""
 
     # -- column views --------------------------------------------------
 
     @cached_property
-    def columns(self) -> CorpusColumns:
-        """The struct-of-arrays view the kernels compute from.
+    def control_columns(self) -> Dict[str, np.ndarray]:
+        """The control plane as columns, in corpus order."""
+        with telemetry.current().span("columnar.encode",
+                                      control=len(self.control)):
+            return encode_updates(list(self.control))
 
-        Prefers the injected (usually mmap-backed sidecar) columns, but
-        only while they still describe the loaded corpora — a lenient
-        ingest that dropped records diverges from the sidecars'
-        canonical strict form, and the pipeline silently re-encodes from
-        memory rather than analyze the wrong rows.
-        """
-        given = self._given_columns
-        if given is not None and given.matches(self.control, self.data):
-            given.use_packed(self.data.packets)
-            return given
-        if given is not None:
-            telemetry.current().counter("columnar.fallback",
-                                        reason="columns-mismatch").inc()
-        columns = CorpusColumns.from_corpora(self.control, self.data)
-        columns.use_packed(self.data.packets)
-        return columns
+    @cached_property
+    def data_columns(self) -> Dict[str, np.ndarray]:
+        """Contiguous copies of the packet fields in :data:`DATA_COLUMNS`."""
+        packets = self.data.packets
+        return {name: np.ascontiguousarray(packets[name])
+                for name in DATA_COLUMNS}
 
     # -- control-plane kernel state ------------------------------------
 
     @cached_property
     def _window_state(self):
-        columns = self.columns
-        flags = kernels.rtbh_flags(columns.control)
-        return kernels.rtbh_window_state(columns.control, flags)
+        flags = kernels.rtbh_flags(self.control_columns)
+        return kernels.rtbh_window_state(self.control_columns, flags)
 
     @cached_property
     def _merged_windows(self):
@@ -111,79 +99,51 @@ class ColumnarPipeline(AnalysisPipeline):
     @cached_property
     def events(self) -> List[RTBHEvent]:
         """Δ-merged RTBH events (§5.1) — vectorized twin."""
-        try:
-            return events_from_merged_windows(self._merged_windows,
-                                              self.delta)
-        except ColumnarError:
-            telemetry.current().counter("columnar.fallback",
-                                        reason="events").inc()
-            return AnalysisPipeline.events.func(self)
+        return events_from_merged_windows(self._merged_windows, self.delta)
 
     # -- data-plane kernel state ---------------------------------------
 
     @cached_property
     def _event_rows(self) -> Dict[int, np.ndarray]:
         """Per event: sorted packet-row indices of its windows."""
-        columns = self.columns
-        return kernels.event_row_index(columns.data["time"],
-                                       columns.data["dst_ip"], self.events)
+        return kernels.event_row_index(self.data_columns["time"],
+                                       self.data_columns["dst_ip"],
+                                       self.events)
 
     @cached_property
     def _pre_rows(self) -> Dict[int, np.ndarray]:
         """Per event: packet-row indices of its 72 h pre-window."""
-        columns = self.columns
-        return kernels.pre_window_rows(columns.data["time"],
-                                       columns.data["dst_ip"], self.events)
+        return kernels.pre_window_rows(self.data_columns["time"],
+                                       self.data_columns["dst_ip"],
+                                       self.events)
 
     def _window_packets(self, event: RTBHEvent) -> np.ndarray:
         """The ``window_packets`` hook: gather instead of slice+mask."""
-        return self.columns.packed_packets()[self._event_rows[event.event_id]]
+        return self.data.packets[self._event_rows[event.event_id]]
 
     def _pre_window_packets(self, event: RTBHEvent) -> np.ndarray:
-        return self.columns.packed_packets()[self._pre_rows[event.event_id]]
+        return self.data.packets[self._pre_rows[event.event_id]]
 
     @cached_property
     def event_traffic(self) -> List[droprate_mod.EventTraffic]:
         """Per-event during-blackhole totals — vectorized twin."""
-        try:
-            return kernels.event_traffic_from_rows(
-                self.columns.data, self.events, self._event_rows)
-        except ColumnarError:
-            telemetry.current().counter("columnar.fallback",
-                                        reason="event_traffic").inc()
-            return AnalysisPipeline.event_traffic.func(self)
+        return kernels.event_traffic_from_rows(
+            self.data_columns, self.events, self._event_rows)
 
     @cached_property
     def pre_classification(self) -> pre_mod.PreRTBHClassification:
         """Pre-RTBH classification — row-gathered windows, same EWMA."""
-        try:
-            return pre_mod.classify_pre_rtbh_events(
-                self.data, self.events,
-                window_packets=self._pre_window_packets)
-        except ColumnarError:
-            telemetry.current().counter("columnar.fallback",
-                                        reason="pre_classification").inc()
-            return AnalysisPipeline.pre_classification.func(self)
+        return pre_mod.classify_pre_rtbh_events(
+            self.data, self.events,
+            window_packets=self._pre_window_packets)
 
     # -- dispatch ------------------------------------------------------
 
     def analysis_fn(self, name: str):
         spec = get_analysis(name)
-        if not getattr(spec, "columnar", False):
+        if not spec.columnar:
             return super().analysis_fn(name)
-        columnar_fn = getattr(self, "_columnar_" + spec.name)
-        record_fn = getattr(self, "_impl_" + spec.name)
-
-        def run(**kwargs):
-            try:
-                return columnar_fn(**kwargs)
-            except ColumnarError:
-                telemetry.current().counter("columnar.fallback",
-                                            reason=spec.name).inc()
-                return record_fn(**kwargs)
-
-        run.__name__ = "_columnar_" + spec.name
-        return run
+        return getattr(self, "_columnar_" + spec.name)
 
     # -- vectorized analyses -------------------------------------------
 
@@ -197,7 +157,7 @@ class ColumnarPipeline(AnalysisPipeline):
 
     def _columnar_fig7_top_sources(self, top_n: int = 100):
         return kernels.top_source_reactions_from_rows(
-            self.columns.data, self.events, self._event_rows, top_n=top_n)
+            self.data_columns, self.events, self._event_rows, top_n=top_n)
 
     def _columnar_fig8_org_types(self, top_n: int = 100):
         return droprate_mod.top_source_org_types(

@@ -1,6 +1,6 @@
-"""Loader for the ``platform.json`` sidecar of a corpus directory.
+"""Loader for the ``platform.json`` file of a corpus directory.
 
-The sidecar carries everything the analysis pipeline needs beyond the two
+The file carries everything the analysis pipeline needs beyond the two
 corpora: the member ASNs, the route-server ASN, and the PeeringDB
 registry for the org-type joins — plus the generation provenance
 (``scale`` / ``duration_days`` / ``seed``) that ``repro advance`` uses to
@@ -22,7 +22,7 @@ def load_platform(corpus_dir: str | Path) -> Tuple[List[int], int, PeeringDB]:
     """``(peer_asns, route_server_asn, peeringdb)`` from ``platform.json``.
 
     Raises the underlying ``OSError``/``ValueError``/``KeyError`` on a
-    missing or malformed sidecar — callers that need a typed error use
+    missing or malformed file — callers that need a typed error use
     :func:`read_platform_meta` first.
     """
     meta = json.loads((Path(corpus_dir) / META_FILE).read_text())
@@ -41,11 +41,11 @@ def read_platform_meta(corpus_dir: str | Path) -> dict:
     try:
         meta = json.loads(path.read_text())
     except OSError as exc:
-        raise CorpusError(f"{path}: cannot read platform sidecar: {exc}"
+        raise CorpusError(f"{path}: cannot read platform file: {exc}"
                           ) from exc
     except ValueError as exc:
-        raise CorpusError(f"{path}: malformed platform sidecar: {exc}"
+        raise CorpusError(f"{path}: malformed platform file: {exc}"
                           ) from exc
     if not isinstance(meta, dict):
-        raise CorpusError(f"{path}: platform sidecar is not an object")
+        raise CorpusError(f"{path}: platform file is not an object")
     return meta

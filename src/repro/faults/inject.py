@@ -34,7 +34,7 @@ from repro.faults.spec import (
 )
 
 
-#: quarantine sidecars (``<plane>.quarantine.jsonl``) are not corpora
+#: quarantine files (``<plane>.quarantine.jsonl``) are not corpora
 QUARANTINE_MARKER = ".quarantine."
 
 
@@ -92,7 +92,7 @@ def degrade_corpus_dir(
 
     Each spec is applied to every plane it is meaningful for (so a single
     ``drop:0.1`` degrades both feeds); the perturbed control log is written
-    in its *post-fault order*, preserving reordering on disk.  Sidecar
+    in its *post-fault order*, preserving reordering on disk.  Side
     files (``platform.json`` etc.) are copied verbatim; any stale manifest
     is intentionally left behind so `repro validate` can flag the mismatch.
     """
@@ -108,7 +108,7 @@ def degrade_corpus_dir(
             continue  # runtime internals (checkpoint journal, scratch)
         if side.is_file() and (_is_quarantine(side)
                                or side.suffix not in (".jsonl", ".npz")):
-            # sidecars — including quarantine stores, which hold malformed
+            # side files — including quarantine stores, which hold malformed
             # records by definition — are copied verbatim, never degraded
             shutil.copyfile(side, dst / side.name)
 

@@ -38,8 +38,8 @@ class RotatingLineWriter:
     """Append text lines with size-bounded generation rotation.
 
     The mechanism under :class:`EventLogWriter`, reusable for any
-    append-only JSONL sidecar that must stay disk-bounded — the tap
-    quarantine sidecars use it too.  Appends are buffered writes flushed
+    append-only JSONL side file that must stay disk-bounded — the tap
+    quarantine files use it too.  Appends are buffered writes flushed
     per line, never fsynced: these files are forensics, not commit logs.
     """
 

@@ -246,3 +246,16 @@ class ResultCache:
         """
         return [(path, entry) for path, entry in self.entries()
                 if entry.get("corpus_digest") != corpus]
+
+    def evict_digest(self, corpus: str, *, reason: str) -> None:
+        """Evict every entry keyed to corpus digest ``corpus``."""
+        doomed = [path for path, entry in self.entries()
+                  if entry.get("corpus_digest") == corpus]
+        for path in doomed:
+            evict_entry(path, reason=reason)
+
+
+def evict_entry(path: Path, *, reason: str) -> None:
+    """Delete one entry file, counted on ``cache.evictions{reason}``."""
+    path.unlink(missing_ok=True)
+    telemetry.current().counter("cache.evictions", reason=reason).inc()

@@ -158,7 +158,8 @@ def checkpointed_generate(
         if finalized is not None and (out / MANIFEST_FILE).exists():
             report.already_complete = True
             # count only day segments — the journal also carries the
-            # finalize and columnar:* commits
+            # finalize commit (and, in corpora written by older versions,
+            # columnar:* commits, which nothing reads any more)
             report.segments_total = sum(
                 1 for key in journal.keys() if key.startswith("segment:"))
             report.control_messages = finalized.get("control_messages", 0)
@@ -336,27 +337,17 @@ def _finalize(result: ScenarioResult, out: Path, seg_dir: Path,
     report.control_messages = counts["control_messages"]
     report.data_packets = counts["data_packets"]
     report.manifest_path = str(manifest_path)
-    control_sha256 = file_sha256(out / CONTROL_FILE)
-    data_sha256 = file_sha256(out / DATA_FILE)
-    # columnar sidecars ride along with every generate: written before
-    # the finalize commit so a resumed run re-derives them too, bound to
-    # the exact corpus checksums the finalize record carries
-    from repro.columnar.store import write_sidecars
-
-    write_sidecars(out, result.control, result.data,
-                   control_sha256=control_sha256, data_sha256=data_sha256,
-                   journal=journal)
     journal.commit(
         FINALIZE_KEY,
         control_messages=counts["control_messages"],
         data_packets=counts["data_packets"],
-        control_sha256=control_sha256,
-        data_sha256=data_sha256,
+        control_sha256=file_sha256(out / CONTROL_FILE),
+        data_sha256=file_sha256(out / DATA_FILE),
     )
 
 
 def _platform_meta(result: ScenarioResult) -> dict:
-    """The ``platform.json`` sidecar the analysis pipeline needs."""
+    """The ``platform.json`` file the analysis pipeline needs."""
     return {
         "peer_asns": result.ixp.member_asns,
         "route_server_asn": result.ixp.route_server.asn,

@@ -36,6 +36,7 @@ from repro.corpus.manifest import (
     write_manifest,
 )
 from repro.errors import StreamError
+from repro.parallel.cache import ResultCache, corpus_digest
 from repro.runtime.atomic import atomic_writer, remove_stale_tmp
 from repro.runtime.checkpoint import CheckpointJournal
 from repro.runtime.generate import (
@@ -212,6 +213,11 @@ def advance_corpus(corpus_dir: str | Path, days: int) -> AdvanceReport:
                     report.segments_written += 1
                     telem.counter("advance.segments", plane=plane).inc()
 
+    # the corpus is about to change: results cached against its current
+    # digest would be stale (``stream:`` keyed entries stay valid)
+    digest = corpus_digest(out)
+    if digest is not None:
+        ResultCache.for_corpus(out).evict_digest(digest, reason="advance")
     with telem.span("advance.finalize"):
         _refinalize(out, seg_dir, journal, new_days, meta, report)
     telem.event("stream.advanced", out=str(out), days_added=days,
@@ -272,12 +278,6 @@ def _refinalize(out: Path, seg_dir: Path, journal: CheckpointJournal,
     write_manifest(out, counts=counts, run=run)
     report.control_messages = counts["control_messages"]
     report.data_packets = counts["data_packets"]
-    # the corpus bytes just changed: re-derive the columnar sidecars so
-    # their source binding matches the new checksums (same ordering as
-    # generate — sidecars land before the finalize commit)
-    from repro.columnar.store import derive_sidecars
-
-    derive_sidecars(out, journal=journal)
     journal.commit(
         FINALIZE_KEY,
         control_messages=counts["control_messages"],

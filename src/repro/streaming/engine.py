@@ -472,7 +472,7 @@ class StreamEngine:
                 self._sampling_rate = int(meta["sampling_rate"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusError(
-                    f"{self.corpus_dir}: platform sidecar lacks a usable "
+                    f"{self.corpus_dir}: platform file lacks a usable "
                     f"sampling_rate: {exc}") from exc
         return self._sampling_rate
 
@@ -532,16 +532,13 @@ class StreamEngine:
             peers, rs_asn, peeringdb = load_platform(self.corpus_dir)
         except (OSError, KeyError, ValueError) as exc:
             raise CorpusError(
-                f"{self.corpus_dir}: unusable platform sidecar: {exc}"
+                f"{self.corpus_dir}: unusable platform file: {exc}"
                 ) from exc
-        # ColumnarPipeline with no sidecar columns: the on-disk sidecars
-        # describe the *full* corpus, not the consumed prefix, so the
-        # batch-recompute analyses vectorize over in-memory columns of
-        # the accumulated corpora instead — fingerprints stay equal to
-        # the record path either way.
-        from repro.columnar.pipeline import ColumnarPipeline
+        # the batch-recompute analyses vectorize over in-memory columns
+        # of the accumulated corpora, exactly like a batch analyze
+        from repro.columnar import build_pipeline
 
-        pipeline = ColumnarPipeline(
+        pipeline = build_pipeline(
             self._control_corpus(), self._data_corpus(), peers,
             peeringdb=peeringdb, route_server_asn=rs_asn,
             delta=self.delta, host_min_days=self.host_min_days)

@@ -274,7 +274,7 @@ def parse_tap_spec(spec: str) -> TapSpec:
     """Parse ``[NAME=]FORMAT:PATH`` (e.g. ``upstream=ris:feed.jsonl``).
 
     The name defaults to the source file's stem; it keys the tap's
-    status, telemetry labels, and quarantine sidecar.
+    status, telemetry labels, and quarantine file.
     """
     body = spec
     name = None

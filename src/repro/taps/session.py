@@ -62,7 +62,7 @@ from repro.scenario.config import DAY
 from repro.taps.adapters import TapSpec, parse_tap_spec
 from repro.taps.supervisor import TapConfig, TapSupervisor
 
-#: where per-tap quarantine sidecars live inside the tap corpus
+#: where per-tap quarantine files live inside the tap corpus
 TAPS_DIR = ".taps"
 
 
@@ -114,7 +114,7 @@ class TapSession:
         """Bootstrap (or resume) a tap corpus and supervise ``specs``.
 
         Creates the directory, the ``.segments/`` scratch area, the
-        journal (header ``command: tap``), and the platform sidecar when
+        journal (header ``command: tap``), and the platform file when
         absent.  Refuses a directory whose journal belongs to ``repro
         generate`` — taps must not splice foreign feeds into a
         synthetic corpus's commit log.

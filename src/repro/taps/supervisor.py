@@ -33,7 +33,7 @@ malformed-record quarantine
     Undecodable records go through the PR 1 :class:`ErrorPolicy` /
     :class:`IngestReport` machinery: ``strict`` raises, ``skip`` drops
     with accounting, ``collect`` additionally appends to a SHA-256
-    deduped quarantine sidecar — re-ingesting a feed never double-counts
+    deduped quarantine file — re-ingesting a feed never double-counts
     its quarantine.
 """
 
@@ -105,7 +105,7 @@ class TapConfig:
     #: parsed-update capacity of the bounded ingest queue
     queue_capacity: int = 100_000
     queue_policy: BackpressurePolicy = BackpressurePolicy.BLOCK
-    #: malformed-record policy (collect = quarantine sidecars)
+    #: malformed-record policy (collect = quarantine files)
     policy: ErrorPolicy = ErrorPolicy.COLLECT
     #: reconnect backoff shape; jitter is deterministic per (policy, seed)
     backoff: RetryPolicy = RetryPolicy(max_retries=0, backoff_base=0.5,
@@ -310,7 +310,7 @@ class TapSupervisor:
             from repro.obs.events import RotatingLineWriter, iter_event_files
 
             # seed SHA-dedupe from *every* rotation generation, so a
-            # payload rotated out of the active sidecar still counts as
+            # payload rotated out of the active file still counts as
             # already-quarantined on re-ingest
             existing = []
             for file in iter_event_files(quarantine):
@@ -454,9 +454,9 @@ class TapSupervisor:
                     reason=reason, payload=payload[:200])
 
     def _flush_quarantine(self) -> None:
-        """Append newly quarantined payloads to the sidecar.
+        """Append newly quarantined payloads to the quarantine file.
 
-        The sidecar uses the same size-bounded generation rotation as
+        The file uses the same size-bounded generation rotation as
         ``.obs/events.jsonl`` (the old behaviour — an atomic rewrite of
         every payload ever seen — grew without bound and went quadratic
         on hostile feeds).  Dedupe keys on payload SHA-256 and was
@@ -471,14 +471,14 @@ class TapSupervisor:
         self._quarantine_flushed = len(self.report.quarantined)
 
     def _write_offset(self) -> None:
-        """Persist the reader position as a forensic sidecar.
+        """Persist the reader position as a forensic side file.
 
         ``.taps/NAME.offset.json`` records how far into the source this
         tap has read — the doctor's scrub cross-checks it against the
         source's current size (an offset beyond EOF means the source
         was truncated under a dead session).  It is deliberately *not*
         read back on resume: replay convergence comes from the commit
-        log, not from trusting a sidecar.  Sidecar IO never fails a tap.
+        log, not from trusting a side file.  Its IO never fails a tap.
         """
         if self._offset_path is None \
                 or self._reader.offset == self._offset_written:

@@ -1,11 +1,16 @@
-"""The ``--engine`` knob end to end: CLI acceptance, facade plumbing,
-and the cross-engine fingerprint contracts (analyze-vs-analyze and
-stream-vs-analyze watermark equivalence)."""
+"""The production engine end to end: the CLI and facade run the columnar
+pipeline with no engine choice left to make, and the cross-engine
+fingerprint contracts hold (analyze against the record reference path,
+stream against analyze)."""
 
 import pytest
 
 from repro.api import AnalyzeOptions, Study, StreamOptions
-from repro.cli import EXIT_OK, main
+from repro.cli import main
+from repro.core.pipeline import AnalysisPipeline
+from repro.corpus import ControlPlaneCorpus, DataPlaneCorpus
+from repro.corpus.manifest import CONTROL_FILE, DATA_FILE
+from repro.corpus.platform import load_platform
 
 
 def _digests(report):
@@ -18,39 +23,35 @@ def study(stream_corpus):
 
 
 class TestFacade:
-    def test_all_engines_fingerprint_identically(self, study):
-        reports = {
-            engine: study.analyze(options=AnalyzeOptions(
-                engine=engine, host_min_days=1))
-            for engine in ("records", "columnar", "auto")}
-        records = _digests(reports["records"])
+    def test_all_engines_fingerprint_identically(self, study,
+                                                 stream_corpus):
+        peers, rs_asn, peeringdb = load_platform(stream_corpus)
+        reference = AnalysisPipeline(
+            ControlPlaneCorpus.load_jsonl(stream_corpus / CONTROL_FILE),
+            DataPlaneCorpus.load_npz(stream_corpus / DATA_FILE),
+            peers, peeringdb=peeringdb, route_server_asn=rs_asn,
+            host_min_days=1).run_all(strict=False)
+        records = _digests(reference)
         assert records  # non-empty: every analysis ran
-        assert _digests(reports["columnar"]) == records
-        assert _digests(reports["auto"]) == records
+        assert _digests(study.analyze(options=AnalyzeOptions(
+            host_min_days=1))) == records
 
     def test_stream_matches_columnar_analyze(self, study):
         stream = study.stream(options=StreamOptions(
             host_min_days=1, cache=False, fresh=True))
-        batch = study.analyze(options=AnalyzeOptions(
-            engine="columnar", host_min_days=1))
+        batch = study.analyze(options=AnalyzeOptions(host_min_days=1))
         assert stream.fingerprints() == _digests(batch)
 
-    def test_unknown_engine_raises(self, study):
-        from repro.errors import AnalysisError
-
-        with pytest.raises(AnalysisError, match="unknown analysis engine"):
-            study.analyze(options=AnalyzeOptions(engine="simd"))
+    def test_unknown_engine_raises(self):
+        # one production engine: there is no engine option to set
+        with pytest.raises(TypeError, match="engine"):
+            AnalyzeOptions(engine="columnar")
 
 
 class TestCLI:
-    @pytest.mark.parametrize("engine", ["columnar", "records", "auto"])
-    def test_engine_flag_accepted(self, stream_corpus, engine, capsys):
-        rc = main(["analyze", str(stream_corpus), "--engine", engine,
-                   "--host-min-days", "1"])
-        assert rc == EXIT_OK
-        assert "acceptance by prefix length (Fig. 5)" \
-            in capsys.readouterr().out
-
     def test_bad_engine_is_a_usage_error(self, stream_corpus, capsys):
-        with pytest.raises(SystemExit):
-            main(["analyze", str(stream_corpus), "--engine", "simd"])
+        for engine in ("simd", "columnar"):
+            with pytest.raises(SystemExit) as exc:
+                main(["analyze", str(stream_corpus), "--engine", engine])
+            assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err

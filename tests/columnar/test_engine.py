@@ -1,35 +1,12 @@
-"""Engine-selection policy and sidecar lifecycle: ``auto`` never
-writes, ``columnar`` heals, ``records`` is the untouched reference, and
-generate leaves fresh journaled sidecars behind."""
-
-import shutil
+"""``build_pipeline``: the one pipeline constructor builds the columnar
+pipeline over in-memory columns and never touches the corpus directory."""
 
 import pytest
 
-from repro.columnar.engine import build_pipeline
-from repro.columnar.pipeline import ColumnarPipeline
-from repro.columnar.store import (
-    COLUMNAR_CONTROL_KEY,
-    COLUMNAR_DATA_KEY,
-    CorpusColumns,
-    derive_sidecars,
-    sidecar_paths,
-    sidecars_fresh,
-)
-from repro.core.pipeline import AnalysisPipeline
+from repro.columnar import ColumnarPipeline, build_pipeline
+from repro.columnar.pipeline import DATA_COLUMNS
 from repro.corpus import ControlPlaneCorpus, DataPlaneCorpus
 from repro.corpus.manifest import CONTROL_FILE, DATA_FILE
-from repro.errors import AnalysisError
-from repro.runtime.checkpoint import CheckpointJournal
-from repro.runtime.generate import JOURNAL_FILE
-
-
-@pytest.fixture()
-def corpus(stream_corpus, tmp_path):
-    """A private mutable copy of the session corpus (sidecars included)."""
-    target = tmp_path / "corpus"
-    shutil.copytree(stream_corpus, target)
-    return target
 
 
 def _load(corpus):
@@ -39,109 +16,28 @@ def _load(corpus):
 
 
 class TestEnginePolicy:
-    def test_unknown_engine_rejected(self, corpus):
-        control, data = _load(corpus)
-        with pytest.raises(AnalysisError, match="unknown analysis engine"):
-            build_pipeline(control, data, [100], engine="vectorized",
-                           corpus_dir=corpus)
+    def test_unknown_engine_rejected(self, stream_corpus):
+        control, data = _load(stream_corpus)
+        with pytest.raises(TypeError, match="engine"):
+            build_pipeline(control, data, [100], engine="records")
 
-    def test_records_is_the_reference_pipeline(self, corpus):
-        control, data = _load(corpus)
-        pipeline = build_pipeline(control, data, [100], engine="records",
-                                  corpus_dir=corpus)
-        assert type(pipeline) is AnalysisPipeline
-
-    def test_auto_uses_fresh_sidecars(self, corpus):
-        control, data = _load(corpus)
-        pipeline = build_pipeline(control, data, [100], engine="auto",
-                                  corpus_dir=corpus)
+    def test_columnar_without_corpus_dir_encodes_in_memory(self,
+                                                           stream_corpus):
+        control, data = _load(stream_corpus)
+        pipeline = build_pipeline(control, data, [100])
         assert isinstance(pipeline, ColumnarPipeline)
-        assert pipeline.columns.backing == "mmap"
-
-    def test_auto_without_sidecars_never_writes(self, corpus):
-        control_col, data_col = sidecar_paths(corpus)
-        control_col.unlink()
-        data_col.unlink()
-        control, data = _load(corpus)
-        pipeline = build_pipeline(control, data, [100], engine="auto",
-                                  corpus_dir=corpus)
-        assert type(pipeline) is AnalysisPipeline
-        assert not control_col.exists() and not data_col.exists()
-
-    def test_columnar_heals_missing_sidecars(self, corpus):
-        control_col, data_col = sidecar_paths(corpus)
-        control_col.unlink()
-        data_col.unlink()
-        control, data = _load(corpus)
-        pipeline = build_pipeline(control, data, [100], engine="columnar",
-                                  corpus_dir=corpus)
-        assert isinstance(pipeline, ColumnarPipeline)
-        assert control_col.exists() and data_col.exists()
-        assert pipeline.columns.backing == "mmap"
-
-    def test_columnar_heals_torn_sidecar(self, corpus):
-        _, data_col = sidecar_paths(corpus)
-        raw = data_col.read_bytes()
-        data_col.write_bytes(raw[:len(raw) // 2])
-        control, data = _load(corpus)
-        pipeline = build_pipeline(control, data, [100], engine="columnar",
-                                  corpus_dir=corpus)
-        assert pipeline.columns.backing == "mmap"
-        assert data_col.read_bytes() == raw  # deterministic re-derive
-
-    def test_columnar_without_corpus_dir_encodes_in_memory(self, corpus):
-        control, data = _load(corpus)
-        pipeline = build_pipeline(control, data, [100], engine="columnar")
-        assert isinstance(pipeline, ColumnarPipeline)
-        assert pipeline.columns.backing == "memory"
-
-    def test_auto_rejects_stale_sidecars(self, corpus):
-        # grow the control file: the manifest and sidecar binding both
-        # predate the change, so auto must fall back to records
-        with open(corpus / CONTROL_FILE, "a") as fh:
-            fh.write("\n")
-        columns = CorpusColumns.open(corpus)
-        assert sidecars_fresh(corpus, columns)  # manifest also stale...
-        from repro.corpus.manifest import write_manifest
-        write_manifest(corpus, counts={})
-        assert not sidecars_fresh(corpus, columns)
-        control, data = _load(corpus)
-        pipeline = build_pipeline(control, data, [100], engine="auto",
-                                  corpus_dir=corpus)
-        assert type(pipeline) is AnalysisPipeline
+        assert len(pipeline.control_columns["time"]) == len(control)
+        assert tuple(pipeline.data_columns) == DATA_COLUMNS
+        for name, column in pipeline.data_columns.items():
+            assert column.flags.c_contiguous, name
+            assert (column == data.packets[name]).all(), name
 
 
-class TestGenerateIntegration:
-    def test_generate_writes_journaled_sidecars(self, stream_corpus):
-        control_col, data_col = sidecar_paths(stream_corpus)
-        assert control_col.exists() and data_col.exists()
-        journal = CheckpointJournal.load(stream_corpus / JOURNAL_FILE)
-        for key in (COLUMNAR_CONTROL_KEY, COLUMNAR_DATA_KEY):
-            entry = journal.committed(key)
-            assert entry is not None
-            assert entry.get("sha256") and entry.get("source_sha256")
-        columns = CorpusColumns.open(stream_corpus)
-        assert sidecars_fresh(stream_corpus, columns)
-
-    def test_rederive_is_deterministic(self, corpus):
-        control_col, data_col = sidecar_paths(corpus)
-        before = (control_col.read_bytes(), data_col.read_bytes())
-        control_col.unlink()
-        data_col.unlink()
-        derive_sidecars(corpus)
-        assert (control_col.read_bytes(), data_col.read_bytes()) == before
-
-    def test_advance_refreshes_sidecars(self, corpus):
-        # `advance` rewrites the corpus bytes; the sidecars must follow,
-        # or every advanced corpus would validate columnar-stale
-        from repro.api import Study
-        from repro.streaming import advance_corpus
-
-        before = sidecar_paths(corpus)[0].read_bytes()
-        advance_corpus(corpus, 1)
-        columns = CorpusColumns.open(corpus, verify=True)
-        assert sidecars_fresh(corpus, columns)
-        assert sidecar_paths(corpus)[0].read_bytes() != before
-        report = Study.open(corpus).validate()
-        assert not [issue for issue in report.issues
-                    if issue.code.startswith("columnar")]
+def test_corpus_dir_is_accepted_and_ignored(stream_corpus):
+    before = sorted(p.name for p in stream_corpus.iterdir())
+    control, data = _load(stream_corpus)
+    pipeline = build_pipeline(control, data, [100],
+                              corpus_dir=stream_corpus, host_min_days=1)
+    assert isinstance(pipeline, ColumnarPipeline)
+    pipeline.run("fig5_drop_by_length")
+    assert sorted(p.name for p in stream_corpus.iterdir()) == before

@@ -1,31 +1,17 @@
-"""Property tests of the columnar codec and segment file format:
-``decode(open(write(encode(records))))`` must round-trip exactly, and
-damaged files must raise the typed errors the journal-style tolerance
-rules promise (torn tail recoverable, everything else structural)."""
+"""Property tests of the control-plane column codec:
+``decode_updates(encode_updates(messages))`` must round-trip exactly."""
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.community import BLACKHOLE, Community
 from repro.bgp.message import BGPUpdate, UpdateAction
 from repro.columnar.encode import (
-    decode_packets,
     decode_updates,
-    encode_packets,
     encode_updates,
     pack_community,
     unpack_community,
 )
-from repro.columnar.format import (
-    MAGIC,
-    open_columnar,
-    read_header,
-    write_columnar,
-)
-from repro.dataplane.packet import PACKET_DTYPE
-from repro.errors import ColumnarError, TornColumnarError
 from repro.net.ip import IPv4Address, IPv4Prefix
 
 
@@ -57,124 +43,13 @@ def updates_strategy(draw):
     return messages
 
 
-def packets_strategy():
-    def build(n, seed):
-        rng = np.random.default_rng(seed)
-        packets = np.zeros(n, dtype=PACKET_DTYPE)
-        packets["time"] = np.sort(rng.uniform(0, 1e5, n))
-        packets["src_ip"] = rng.integers(0, 2**32, n, dtype=np.uint32)
-        packets["dst_ip"] = rng.integers(0, 2**32, n, dtype=np.uint32)
-        packets["protocol"] = rng.integers(0, 256, n)
-        packets["src_port"] = rng.integers(0, 2**16, n)
-        packets["dst_port"] = rng.integers(0, 2**16, n)
-        packets["size"] = rng.integers(40, 1501, n)
-        packets["ingress_asn"] = rng.integers(1, 2**16, n)
-        packets["origin_asn"] = rng.integers(1, 2**16, n)
-        packets["dropped"] = rng.integers(0, 2, n).astype(bool)
-        packets["label"] = rng.integers(0, 4, n)
-        return packets
-    return st.builds(build, st.integers(0, 50), st.integers(0, 2**31))
-
-
 class TestCodecRoundTrip:
     @settings(max_examples=50, deadline=None)
     @given(updates_strategy())
     def test_updates_round_trip_in_memory(self, messages):
-        assert decode_updates(dict(encode_updates(messages))) == messages
-
-    @settings(max_examples=25, deadline=None)
-    @given(packets_strategy())
-    def test_packets_round_trip_in_memory(self, packets):
-        decoded = decode_packets(dict(encode_packets(packets)))
-        assert np.array_equal(decoded, packets)
+        assert decode_updates(encode_updates(messages)) == messages
 
     def test_community_packing_bijective(self):
         for community in (Community(0, 0), Community(0xFFFF, 0xFFFF),
                           BLACKHOLE, Community(64_500, 666)):
             assert unpack_community(pack_community(community)) == community
-
-
-class TestFileRoundTrip:
-    @settings(max_examples=20, deadline=None)
-    @given(messages=updates_strategy())
-    def test_updates_through_mmap(self, messages, tmp_path_factory):
-        path = tmp_path_factory.mktemp("col") / "control.col"
-        write_columnar(path, "control", encode_updates(messages),
-                       rows=len(messages), source_name="control.jsonl",
-                       source_sha256="s" * 64)
-        segment = open_columnar(path, verify=True)
-        assert segment.plane == "control"
-        assert segment.rows == len(messages)
-        assert decode_updates(segment.columns) == messages
-
-    @settings(max_examples=15, deadline=None)
-    @given(packets=packets_strategy())
-    def test_packets_through_mmap(self, packets, tmp_path_factory):
-        path = tmp_path_factory.mktemp("col") / "data.col"
-        write_columnar(path, "data", encode_packets(packets),
-                       rows=len(packets), source_name="data.npz",
-                       source_sha256="s" * 64,
-                       extra={"sampling_rate": 10})
-        segment = open_columnar(path, verify=True)
-        assert segment.header["sampling_rate"] == 10
-        assert np.array_equal(decode_packets(segment.columns), packets)
-
-
-@pytest.fixture()
-def segment_path(tmp_path):
-    packets = np.zeros(8, dtype=PACKET_DTYPE)
-    packets["time"] = np.arange(8.0)
-    path = tmp_path / "data.col"
-    write_columnar(path, "data", encode_packets(packets), rows=8,
-                   source_name="data.npz", source_sha256="s" * 64,
-                   extra={"sampling_rate": 10})
-    return path
-
-
-class TestDamageTaxonomy:
-    """Torn tails are recoverable (re-derive); everything else is a
-    structural ColumnarError — the same split the journal rules use."""
-
-    def test_every_truncation_is_torn(self, segment_path):
-        raw = segment_path.read_bytes()
-        for size in (0, 3, len(MAGIC) + 2, len(MAGIC) + 4 + 5,
-                     len(raw) // 2, len(raw) - 1):
-            segment_path.write_bytes(raw[:size])
-            with pytest.raises(TornColumnarError):
-                read_header(segment_path)
-
-    def test_bad_magic(self, segment_path):
-        raw = bytearray(segment_path.read_bytes())
-        raw[0] ^= 0xFF
-        segment_path.write_bytes(bytes(raw))
-        with pytest.raises(ColumnarError, match="bad magic"):
-            open_columnar(segment_path)
-
-    def test_unsupported_version(self, segment_path):
-        raw = bytearray(segment_path.read_bytes())
-        raw[4] = 9
-        segment_path.write_bytes(bytes(raw))
-        with pytest.raises(ColumnarError, match="version"):
-            open_columnar(segment_path)
-
-    def test_trailing_bytes(self, segment_path):
-        segment_path.write_bytes(segment_path.read_bytes() + b"junk")
-        with pytest.raises(ColumnarError, match="trailing"):
-            open_columnar(segment_path)
-
-    def test_garbled_header_json(self, segment_path):
-        raw = bytearray(segment_path.read_bytes())
-        raw[len(MAGIC) + 4] = 0xFF  # first header byte: not valid JSON
-        segment_path.write_bytes(bytes(raw))
-        with pytest.raises(ColumnarError):
-            open_columnar(segment_path)
-
-    def test_payload_flip_passes_structure_fails_verify(self, segment_path):
-        raw = bytearray(segment_path.read_bytes())
-        raw[-1] ^= 0xFF
-        segment_path.write_bytes(bytes(raw))
-        segment = open_columnar(segment_path)  # structural open succeeds
-        with pytest.raises(ColumnarError, match="SHA-256"):
-            segment.verify_payload()
-        with pytest.raises(ColumnarError):
-            open_columnar(segment_path, verify=True)

@@ -1,137 +1,101 @@
-"""State-plane integration of the sidecars: ``repro validate`` codes,
-the doctor's ``columnar-segment`` damage + ``rederive-columnar`` repair,
-and the meta-test proving the differential harness actually catches a
-flipped payload bit."""
+"""The columnar engine against the corpus state plane: it leaves nothing
+on disk for ``validate`` or ``doctor`` to check, corpora written by
+versions that kept ``.columnar/`` sidecars stay clean and analyze
+identically, and the meta-test proves the differential harness actually
+catches a flipped input bit."""
 
 import shutil
 
+import numpy as np
 import pytest
 
-from repro.columnar.format import open_columnar, read_header
+from repro.api import AnalyzeOptions, Study
 from repro.columnar.pipeline import ColumnarPipeline
-from repro.columnar.store import CorpusColumns, sidecar_paths
 from repro.core.pipeline import AnalysisPipeline
 from repro.core.registry import columnar_names
 from repro.corpus import ControlPlaneCorpus, DataPlaneCorpus
 from repro.corpus.manifest import CONTROL_FILE, DATA_FILE, validate_corpus
-from repro.doctor import repair_corpus, scrub_corpus
-from repro.errors import ColumnarError
+from repro.doctor import scrub_corpus
+from repro.runtime.checkpoint import CheckpointJournal
+from repro.runtime.generate import JOURNAL_FILE, checkpointed_generate
+from repro.scenario import ScenarioConfig
 
 from tests.columnar.conftest import assert_twin_outcomes, outcome
-
-
-@pytest.fixture()
-def corpus(stream_corpus, tmp_path):
-    target = tmp_path / "corpus"
-    shutil.copytree(stream_corpus, target)
-    return target
 
 
 def _codes(report):
     return {issue.code for issue in report.issues}
 
 
+def _digests(corpus):
+    report = Study.open(corpus).analyze(
+        options=AnalyzeOptions(host_min_days=1))
+    return {o.name: o.value_digest for o in report.outcomes}
+
+
 class TestValidate:
-    def test_clean_corpus_has_no_columnar_issues(self, corpus):
+    def test_clean_corpus_has_no_columnar_issues(self, stream_corpus):
         assert not any(code.startswith("columnar")
-                       for code in _codes(validate_corpus(corpus)))
-
-    def test_torn_sidecar(self, corpus):
-        _, data_col = sidecar_paths(corpus)
-        raw = data_col.read_bytes()
-        data_col.write_bytes(raw[:len(raw) - 7])
-        assert "columnar-torn" in _codes(validate_corpus(corpus))
-
-    def test_corrupt_payload(self, corpus):
-        _, data_col = sidecar_paths(corpus)
-        raw = bytearray(data_col.read_bytes())
-        raw[-1] ^= 0x01
-        data_col.write_bytes(bytes(raw))
-        assert "columnar-corrupt" in _codes(validate_corpus(corpus))
-
-    def test_partial_pair(self, corpus):
-        control_col, _ = sidecar_paths(corpus)
-        control_col.unlink()
-        assert "columnar-partial" in _codes(validate_corpus(corpus))
-
-    def test_stale_binding(self, corpus):
-        # rebind the data sidecar to a bogus source checksum
-        _, data_col = sidecar_paths(corpus)
-        raw = bytearray(data_col.read_bytes())
-        header, _, _ = read_header(data_col)
-        recorded = header["source"]["sha256"].encode()
-        flipped = bytes(recorded[:-4]) + (b"0000" if recorded[-4:] != b"0000"
-                                          else b"1111")
-        index = raw.find(recorded)
-        raw[index:index + len(recorded)] = flipped
-        data_col.write_bytes(bytes(raw))
-        report = validate_corpus(corpus)
-        assert "columnar-stale" in _codes(report)
+                       for code in _codes(validate_corpus(stream_corpus)))
 
 
 class TestDoctor:
-    def test_clean_scrub(self, corpus):
-        assert scrub_corpus(corpus).clean
+    def test_clean_scrub(self, stream_corpus):
+        assert scrub_corpus(stream_corpus).clean
 
-    def test_damage_and_repair_round_trip(self, corpus):
-        control_col, data_col = sidecar_paths(corpus)
-        raw = bytearray(data_col.read_bytes())
-        raw[-1] ^= 0xFF
-        data_col.write_bytes(bytes(raw))
-        control_col.unlink()
-        report = scrub_corpus(corpus)
-        damages = [d for d in report.damages
-                   if d.kind == "columnar-segment"]
-        assert {d.damage for d in damages} == {"missing", "garbled"}
-        # sidecars are derived state: warnings, one shared repair plan
-        assert all(d.severity == "warning" for d in damages)
-        assert {d.plan for d in damages} == {"rederive-columnar"}
-        result = repair_corpus(corpus, report)
-        assert result.ok
-        rederives = [a for a in result.actions
-                     if a.plan == "rederive-columnar"]
-        assert len(rederives) == 1  # the pair heals in one derivation
-        assert scrub_corpus(corpus).clean
-        CorpusColumns.open(corpus, verify=True)
 
-    def test_shallow_scrub_skips_payload_hash(self, corpus):
-        _, data_col = sidecar_paths(corpus)
-        raw = bytearray(data_col.read_bytes())
-        raw[-1] ^= 0xFF
-        data_col.write_bytes(bytes(raw))
-        assert scrub_corpus(corpus, deep=False).clean
-        assert not scrub_corpus(corpus, deep=True).clean
+class TestOlderCorpusCompatibility:
+    """A corpus from a version that wrote ``.columnar/{control,data}.col``
+    and journaled them under ``columnar:*`` keys: nothing reads either
+    any more, so both are inert leftovers."""
+
+    @pytest.fixture()
+    def older(self, stream_corpus, tmp_path):
+        target = tmp_path / "older"
+        shutil.copytree(stream_corpus, target)
+        (target / ".columnar").mkdir()
+        (target / ".columnar" / "data.col").write_bytes(b"RCOL\x01junk")
+        journal = CheckpointJournal.load(target / JOURNAL_FILE)
+        for plane in ("control", "data"):
+            journal.commit(f"columnar:{plane}", sha256="0" * 64,
+                           source_sha256="1" * 64, rows=1)
+        return target
+
+    def test_validate_and_doctor_clean(self, older):
+        report = validate_corpus(older)
+        assert report.ok, [str(issue) for issue in report.issues]
+        assert not report.issues
+        scrub = scrub_corpus(older)
+        assert scrub.clean, [str(d) for d in scrub.damages]
+
+    def test_analyze_matches_clean_copy(self, older, stream_corpus):
+        assert _digests(older) == _digests(stream_corpus)
+
+    def test_resume_reports_already_complete(self, older):
+        journal = CheckpointJournal.load(older / JOURNAL_FILE)
+        segment_keys = [key for key in journal.keys()
+                        if key.startswith("segment:")]
+        report = checkpointed_generate(
+            ScenarioConfig.paper(scale=0.01, duration_days=3.0, seed=11),
+            older, resume=True, keep_segments=True)
+        assert report.already_complete
+        assert report.segments_total == len(segment_keys) == 6
 
 
 class TestMetaCorruption:
-    """Flip one payload byte the analyses actually read and prove the
+    """Flip one input bit the kernels actually read and prove the
     differential harness fails — the suite's own smoke detector."""
 
-    def _flip_blackhole_bit(self, corpus):
-        control_col, _ = sidecar_paths(corpus)
-        header, payload_start, _ = read_header(control_col)
-        spec = next(c for c in header["columns"]
-                    if c["name"] == "blackhole")
-        raw = bytearray(control_col.read_bytes())
-        start = payload_start + spec["offset"]
-        for i in range(start, start + spec["nbytes"]):
-            if raw[i]:  # the first blackhole announcement
-                raw[i] = 0
-                break
-        else:  # pragma: no cover - seeded corpus always has RTBH traffic
-            pytest.fail("no blackhole bit to flip")
-        control_col.write_bytes(bytes(raw))
-
-    def test_flipped_bit_fails_the_differential_suite(self, corpus):
-        self._flip_blackhole_bit(corpus)
-        control = ControlPlaneCorpus.load_jsonl(corpus / CONTROL_FILE)
-        data = DataPlaneCorpus.load_npz(corpus / DATA_FILE)
-        # structural open succeeds by design — flipped payload bits must
-        # reach the analyses so equivalence checks can catch them
-        columns = CorpusColumns.open(corpus)
+    def test_flipped_bit_fails_the_differential_suite(self, stream_corpus):
+        control = ControlPlaneCorpus.load_jsonl(stream_corpus / CONTROL_FILE)
+        data = DataPlaneCorpus.load_npz(stream_corpus / DATA_FILE)
         record = AnalysisPipeline(control, data, [100], host_min_days=1)
-        columnar = ColumnarPipeline(control, data, [100], host_min_days=1,
-                                    columns=columns)
+        columnar = ColumnarPipeline(control, data, [100], host_min_days=1)
+        assert "events" not in columnar.__dict__
+        blackhole = columnar.control_columns["blackhole"]
+        flagged = np.flatnonzero(blackhole)
+        assert flagged.size, "the seeded corpus always has RTBH traffic"
+        blackhole[flagged[0]] = False  # the first blackhole announcement
         diverged = []
         for name in columnar_names():
             rec, col = outcome(record, name), outcome(columnar, name)
@@ -143,9 +107,3 @@ class TestMetaCorruption:
         with pytest.raises(AssertionError):
             for name in columnar_names():
                 assert_twin_outcomes(record, columnar, name)
-
-    def test_flipped_bit_fails_deep_verify(self, corpus):
-        self._flip_blackhole_bit(corpus)
-        control_col, _ = sidecar_paths(corpus)
-        with pytest.raises(ColumnarError, match="SHA-256"):
-            open_columnar(control_col, verify=True)

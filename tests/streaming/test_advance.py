@@ -77,3 +77,24 @@ def test_advance_resume_completes_torn_finalize(corpus):
     for name, sha in shas.items():
         assert file_sha256(corpus / name) == sha
     assert Study.open(corpus).validate().ok
+
+
+def test_advance_after_cached_analyze_leaves_corpus_clean(corpus, capsys):
+    """``analyze --jobs 2`` caches results against the corpus digest;
+    ``advance`` changes that digest, so it must evict those entries or
+    ``doctor`` and ``validate`` flag every one as digest drift."""
+    from repro.cli import EXIT_OK, main
+    from repro.doctor import scrub_corpus
+    from repro.parallel.cache import ResultCache
+
+    assert main(["analyze", str(corpus), "--jobs", "2",
+                 "--host-min-days", "1"]) == EXIT_OK
+    assert list(ResultCache.for_corpus(corpus).entries())
+
+    advance_corpus(corpus, 1)
+
+    report = scrub_corpus(corpus)
+    assert report.clean, [str(d) for d in report.damages]
+    assert Study.open(corpus).validate().ok
+    capsys.readouterr()
+    assert main(["doctor", str(corpus)]) == EXIT_OK
