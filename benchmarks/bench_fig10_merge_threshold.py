@@ -17,7 +17,7 @@ def test_bench_fig10_merge_threshold(benchmark, pipeline):
     sweep = benchmark(lambda: merge_threshold_sweep(pipeline.control, deltas))
     got_deltas, fraction = sweep
     at_10min = float(fraction[np.searchsorted(got_deltas, 600.0)])
-    announcements = sum(1 for m in pipeline.control.rtbh_updates() if m.is_announce)
+    announcements = pipeline.control.rtbh_announcement_count()
     lower_bound = unique_prefix_count(pipeline.control) / announcements
     from repro.core.plots import sparkline
 

@@ -10,17 +10,6 @@ the strided ``time`` field view) and then *reuse the record path's own
 aggregation code* on identical intermediate values, so equality is by
 construction rather than by parallel reimplementation.
 
-Control plane:
-
-* :func:`rtbh_flags` — the stateful announce/withdraw blackhole
-  classification of :meth:`ControlPlaneCorpus._classify`, computed with
-  one stable key-sort and a shifted compare instead of a Python loop.
-* :func:`rtbh_window_state` — the §5.1 raw announcement windows and
-  first-origin map, feeding the *same* ``merge_annotated_windows`` /
-  ``events_from_merged_windows`` functions the record path uses.
-
-Data plane:
-
 * :func:`event_row_index` — for every event, the sorted row indices of
   its during-blackhole packets, from two batched ``searchsorted`` calls
   over the contiguous time column plus per-window prefix masks.
@@ -32,176 +21,20 @@ Data plane:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.columnar.encode import ACTION_ANNOUNCE
 from repro.core.droprate import EventTraffic, SourceReaction
 from repro.core.events import RTBHEvent
 from repro.core.pre_rtbh import PRE_WINDOW
 from repro.errors import AnalysisError
-from repro.net.ip import IPv4Prefix
 
 _MAX32 = 0xFFFFFFFF
 
 
 def _prefix_bits(length: int) -> np.uint32:
     return np.uint32((_MAX32 << (32 - length)) & _MAX32 if length else 0)
-
-
-# -- control plane -----------------------------------------------------
-
-
-def _key_ids(peer: np.ndarray, net: np.ndarray,
-             plen: np.ndarray) -> np.ndarray:
-    """Dense group ids for (peer, prefix) keys."""
-    keys = np.empty(len(peer), dtype=[("p", "u4"), ("n", "u4"),
-                                      ("l", "u1")])
-    keys["p"], keys["n"], keys["l"] = peer, net, plen
-    _, kid = np.unique(keys, return_inverse=True)
-    return kid
-
-
-def rtbh_flags(control: Dict[str, np.ndarray]) -> np.ndarray:
-    """Vectorized twin of :meth:`ControlPlaneCorpus._classify`.
-
-    The record path walks messages in time order keeping the set of
-    (peer, prefix) keys with a standing blackhole.  Observe that after
-    *any* message the key's state equals "that message was a blackhole
-    announce" (a non-blackhole announce replaces, a withdraw clears), so
-    ``flag[i] = bh_announce[i] or bh_announce[previous message on the
-    same key]`` — computable with one stable sort by key.
-    """
-    action = control["action"]
-    n = len(action)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    bh_announce = (action == ACTION_ANNOUNCE) & control["blackhole"]
-    kid = _key_ids(control["peer_asn"], control["prefix_net"],
-                   control["prefix_len"])
-    order = np.argsort(kid, kind="stable")
-    kid_s = kid[order]
-    bh_s = bh_announce[order]
-    prev = np.zeros(n, dtype=bool)
-    prev[1:] = bh_s[:-1] & (kid_s[1:] == kid_s[:-1])
-    flags = np.empty(n, dtype=bool)
-    flags[order] = bh_s | prev
-    return flags
-
-
-def rtbh_window_state(
-    control: Dict[str, np.ndarray],
-    flags: Optional[np.ndarray] = None,
-) -> Tuple[Dict[IPv4Prefix, List[Tuple[float, float, int]]],
-           Dict[Tuple[IPv4Prefix, int], int], int]:
-    """Raw §5.1 window state: twin of
-    :meth:`ControlPlaneCorpus.rtbh_windows_by_prefix` plus the
-    first-origin map of ``_merged_prefix_windows``.
-
-    Returns ``(raw_windows, origin_of, rtbh_announcements)``.  Within
-    each (peer, prefix) key the flagged messages form runs of
-    "open at the first announce since the last withdraw, emit at each
-    withdraw"; openers are found with a shifted compare and each
-    window's start with a cumulative-max over opener positions (valid
-    globally because the stable key-sort keeps groups contiguous and
-    every flagged withdraw has an opener earlier in its own group).
-    Keys left open close at the last message time, like the record path.
-    """
-    if flags is None:
-        flags = rtbh_flags(control)
-    times = control["time"]
-    n = len(times)
-    raw: Dict[IPv4Prefix, List[Tuple[float, float, int]]] = {}
-    origin_of: Dict[Tuple[IPv4Prefix, int], int] = {}
-    if n == 0 or not flags.any():
-        return raw, origin_of, 0
-    end_time = float(times[-1])
-    idx = np.flatnonzero(flags)
-    t = times[idx]
-    peer = control["peer_asn"][idx]
-    net = control["prefix_net"][idx]
-    plen = control["prefix_len"][idx]
-    ann = control["action"][idx] == ACTION_ANNOUNCE
-    origin = control["origin_asn"][idx]
-    announcements = int(ann.sum())
-
-    kid = _key_ids(peer, net, plen)
-    order = np.argsort(kid, kind="stable")
-    kid_s = kid[order]
-    t_s, peer_s, net_s, plen_s = t[order], peer[order], net[order], plen[order]
-    ann_s, origin_s = ann[order], origin[order]
-    m = len(order)
-    first = np.empty(m, dtype=bool)
-    first[0] = True
-    first[1:] = kid_s[1:] != kid_s[:-1]
-    last = np.empty(m, dtype=bool)
-    last[-1] = True
-    last[:-1] = first[1:]
-    # an announce opens iff the key is closed: at the group head (the
-    # first flagged message of a key is always a blackhole announce) or
-    # right after a withdraw
-    prev_is_withdraw = np.empty(m, dtype=bool)
-    prev_is_withdraw[0] = False
-    prev_is_withdraw[1:] = ~ann_s[:-1]
-    opener = ann_s & (first | prev_is_withdraw)
-    open_pos = np.where(opener, np.arange(m), -1)
-    start_pos = np.maximum.accumulate(open_pos)
-
-    prefixes: Dict[Tuple[int, int], IPv4Prefix] = {}
-
-    def _prefix(i: int) -> IPv4Prefix:
-        key = (int(net_s[i]), int(plen_s[i]))
-        prefix = prefixes.get(key)
-        if prefix is None:
-            prefix = prefixes[key] = IPv4Prefix(*key)
-        return prefix
-
-    # first flagged announce per key == the group head (stable sort
-    # keeps time order inside groups), matching the record path's
-    # ``origin_of.setdefault`` walk
-    for i in np.flatnonzero(first).tolist():
-        origin_of[(_prefix(i), int(peer_s[i]))] = int(origin_s[i])
-    # every flagged withdraw emits a window; keys whose last flagged
-    # message is an announce are still open and close at end_time
-    emit_end = np.where(~ann_s, t_s, end_time)
-    for i in np.flatnonzero(~ann_s | (last & ann_s)).tolist():
-        start = float(t_s[start_pos[i]])
-        raw.setdefault(_prefix(i), []).append(
-            (start, float(emit_end[i]), int(peer_s[i])))
-    for windows in raw.values():
-        windows.sort()
-    return raw, origin_of, announcements
-
-
-# -- data plane --------------------------------------------------------
-
-
-def window_rows(time_col: np.ndarray, dst_col: np.ndarray,
-                prefix: IPv4Prefix,
-                windows: Sequence[Tuple[float, float]]) -> np.ndarray:
-    """Sorted row indices of packets to ``prefix`` during ``windows``."""
-    if len(time_col) == 0 or not windows:
-        return np.zeros(0, dtype=np.int64)
-    starts = np.fromiter((w[0] for w in windows), dtype=np.float64,
-                         count=len(windows))
-    ends = np.fromiter((w[1] for w in windows), dtype=np.float64,
-                       count=len(windows))
-    lo = np.searchsorted(time_col, starts, side="left")
-    hi = np.searchsorted(time_col, ends, side="left")
-    bits = _prefix_bits(prefix.length)
-    target = np.uint32(prefix.network_int)
-    parts = []
-    for l, h in zip(lo.tolist(), hi.tolist()):
-        if h <= l:
-            continue
-        hit = (dst_col[l:h] & bits) == target
-        rows = np.flatnonzero(hit)
-        if rows.size:
-            parts.append(rows.astype(np.int64) + l)
-    if not parts:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(parts)
 
 
 def event_row_index(time_col: np.ndarray, dst_col: np.ndarray,

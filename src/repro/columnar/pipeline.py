@@ -1,12 +1,13 @@
 """The columnar analysis pipeline.
 
 :class:`ColumnarPipeline` is an :class:`~repro.core.pipeline
-.AnalysisPipeline` whose shared intermediates (events, per-event
-traffic, pre-RTBH classification) and hottest analyses are computed by
-the vectorized kernels of :mod:`repro.columnar.kernels` over in-memory
-columns, instead of per-event record scans: the control plane encoded
-by :func:`~repro.columnar.encode.encode_updates`, and contiguous copies
-of the five packet fields the kernels read.
+.AnalysisPipeline` whose data-plane intermediates (per-event traffic,
+pre-RTBH classification) and hottest analyses are computed by the
+vectorized kernels of :mod:`repro.columnar.kernels` over contiguous
+in-memory copies of the five packet fields they read, instead of
+per-event record scans.  Events come from the inherited
+:attr:`~repro.core.pipeline.AnalysisPipeline.events`: the control
+corpus' own RTBH window automaton.
 
 Dispatch is by capability flag: registry specs with ``columnar=True``
 resolve to a ``_columnar_*`` twin, every other analysis falls through to
@@ -16,10 +17,10 @@ overrides ``analysis_fn`` and the cached properties, the scheduler
 forked workers share the columns copy-on-write.
 
 Equality with the record path is *by construction*: the kernels emit the
-same intermediate objects (``RTBHEvent`` lists, ``EventTraffic``
-streams, per-event packet arrays) and the record path's own aggregation
-functions run on top, so ``value_fingerprint`` digests match bit for bit
-— the contract the differential suite in ``tests/columnar`` enforces.
+same intermediate objects (``EventTraffic`` streams, per-event packet
+arrays) and the record path's own aggregation functions run on top, so
+``value_fingerprint`` digests match bit for bit — the contract the
+differential suite in ``tests/columnar`` enforces.
 """
 
 from __future__ import annotations
@@ -29,19 +30,12 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro import telemetry
 from repro.columnar import kernels
-from repro.columnar.encode import encode_updates
 from repro.core import droprate as droprate_mod
 from repro.core import filtering as filtering_mod
 from repro.core import pre_rtbh as pre_mod
 from repro.core import protocols as protocols_mod
-from repro.core.events import (
-    RTBHEvent,
-    events_from_merged_windows,
-    merge_annotated_windows,
-    sweep_from_merged,
-)
+from repro.core.events import RTBHEvent
 from repro.core.pipeline import AnalysisPipeline
 from repro.core.registry import get_analysis
 
@@ -71,35 +65,11 @@ class ColumnarPipeline(AnalysisPipeline):
     # -- column views --------------------------------------------------
 
     @cached_property
-    def control_columns(self) -> Dict[str, np.ndarray]:
-        """The control plane as columns, in corpus order."""
-        with telemetry.current().span("columnar.encode",
-                                      control=len(self.control)):
-            return encode_updates(list(self.control))
-
-    @cached_property
     def data_columns(self) -> Dict[str, np.ndarray]:
         """Contiguous copies of the packet fields in :data:`DATA_COLUMNS`."""
         packets = self.data.packets
         return {name: np.ascontiguousarray(packets[name])
                 for name in DATA_COLUMNS}
-
-    # -- control-plane kernel state ------------------------------------
-
-    @cached_property
-    def _window_state(self):
-        flags = kernels.rtbh_flags(self.control_columns)
-        return kernels.rtbh_window_state(self.control_columns, flags)
-
-    @cached_property
-    def _merged_windows(self):
-        raw, origin_of, _ = self._window_state
-        return merge_annotated_windows(raw, origin_of)
-
-    @cached_property
-    def events(self) -> List[RTBHEvent]:
-        """Δ-merged RTBH events (§5.1) — vectorized twin."""
-        return events_from_merged_windows(self._merged_windows, self.delta)
 
     # -- data-plane kernel state ---------------------------------------
 
@@ -162,11 +132,6 @@ class ColumnarPipeline(AnalysisPipeline):
     def _columnar_fig8_org_types(self, top_n: int = 100):
         return droprate_mod.top_source_org_types(
             self._columnar_fig7_top_sources(top_n=top_n), self.peeringdb)
-
-    def _columnar_fig10_merge_sweep(self, deltas=None):
-        _, _, announcements = self._window_state
-        return sweep_from_merged(self._merged_windows, announcements,
-                                 deltas)
 
     def _columnar_table2_pre_classes(self):
         return self.pre_classification.class_shares()

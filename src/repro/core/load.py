@@ -50,9 +50,9 @@ def rtbh_load_series(control: ControlPlaneCorpus,
         raise AnalysisError("empty control corpus")
     t0 = control.start_time if t0 is None else t0
     t1 = control.end_time if t1 is None else t1
-    times = np.array([m.time for m in control.rtbh_updates()])
-    return load_series_from_state(control.rtbh_windows_by_prefix(), times,
-                                  t0, t1)
+    automaton = control.rtbh_automaton
+    return load_series_from_state(automaton.windows_snapshot(),
+                                  automaton.rtbh_times, t0, t1)
 
 
 def load_series_from_state(windows, message_times, t0: float,
@@ -60,9 +60,10 @@ def load_series_from_state(windows, message_times, t0: float,
     """Fig. 3 from pre-extracted state — no corpus scan.
 
     ``windows`` is the ``prefix -> [(start, end, announcer)]`` map of
-    :meth:`ControlPlaneCorpus.rtbh_windows_by_prefix`; ``message_times``
-    the timestamps of the RTBH-related updates.  The streaming engine
-    maintains both incrementally and calls this per watermark.
+    :meth:`~repro.corpus.control.RTBHAutomaton.windows_snapshot`;
+    ``message_times`` the timestamps of the RTBH-related updates.  The
+    streaming engine maintains both incrementally and calls this per
+    watermark.
     """
     if t1 <= t0:
         raise AnalysisError("t1 must be after t0")

@@ -10,14 +10,10 @@ Analyses are addressed by name through the registry
 (:data:`repro.core.registry.ANALYSES`)::
 
     pipeline.run("fig10_merge_sweep")
-
-The historical per-figure methods (``pipeline.fig10_merge_sweep()``)
-remain as thin shims that emit :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
-import warnings
 from functools import cached_property
 from typing import Callable, Dict, List, Sequence
 
@@ -31,7 +27,12 @@ from repro.core import offset as offset_mod
 from repro.core import pre_rtbh as pre_mod
 from repro.core import protocols as protocols_mod
 from repro.core import visibility as visibility_mod
-from repro.core.events import DEFAULT_DELTA, RTBHEvent, extract_events
+from repro.core.events import (
+    DEFAULT_DELTA,
+    RTBHEvent,
+    extract_events,
+    merge_threshold_sweep,
+)
 from repro.core.registry import ANALYSES, get_analysis
 from repro.core.study import StudyReport
 from repro.corpus.control import ControlPlaneCorpus
@@ -100,12 +101,8 @@ class AnalysisPipeline:
         return self.analysis_fn(name)(**kwargs)
 
     def analysis_fn(self, name: str) -> Callable:
-        """The bound zero-argument callable for a registry name.
-
-        The non-deprecated accessor the scheduler runs — unlike
-        ``getattr(pipeline, name)`` it does not trip the deprecation
-        shims.
-        """
+        """The bound callable for a registry name (what the scheduler
+        runs)."""
         return getattr(self, "_impl_" + get_analysis(name).name)
 
     # -- figures & tables -------------------------------------------------------
@@ -141,7 +138,7 @@ class AnalysisPipeline:
             self._impl_fig7_top_sources(top_n), self.peeringdb)
 
     def _impl_fig10_merge_sweep(self, deltas=None):
-        return droprate_sweep(self.control, deltas)
+        return merge_threshold_sweep(self.control, deltas)
 
     def _impl_table2_pre_classes(self) -> Dict[pre_mod.PreRTBHClass, float]:
         return self.pre_classification.class_shares()
@@ -247,33 +244,3 @@ class AnalysisPipeline:
                             corpus_digest=corpus_digest,
                             config_hash=config_hash)
 
-
-def _deprecated_accessor(name: str):
-    """A shim method delegating ``pipeline.<name>()`` to the registry."""
-    impl_name = "_impl_" + name
-
-    def shim(self, *args, **kwargs):
-        warnings.warn(
-            f"AnalysisPipeline.{name}() is deprecated; use "
-            f"pipeline.run({name!r}) instead (see "
-            "repro.core.registry.ANALYSES)",
-            DeprecationWarning, stacklevel=2)
-        return getattr(self, impl_name)(*args, **kwargs)
-
-    shim.__name__ = name
-    shim.__qualname__ = f"AnalysisPipeline.{name}"
-    shim.__doc__ = (f"Deprecated alias for ``run({name!r})`` — "
-                    "emits ``DeprecationWarning``.")
-    return shim
-
-
-for _name in ANALYSIS_NAMES:
-    setattr(AnalysisPipeline, _name, _deprecated_accessor(_name))
-del _name
-
-
-def droprate_sweep(control: ControlPlaneCorpus, deltas=None):
-    """Thin alias kept next to the pipeline for discoverability."""
-    from repro.core.events import merge_threshold_sweep
-
-    return merge_threshold_sweep(control, deltas)

@@ -12,9 +12,6 @@ segments changed).
 Run one by name via :meth:`AnalysisPipeline.run`::
 
     pipeline.run("fig10_merge_sweep")
-
-The old per-figure accessors (``pipeline.fig10_merge_sweep()``) survive
-as deprecation shims.
 """
 
 from __future__ import annotations
@@ -70,8 +67,7 @@ ANALYSES: Tuple[AnalysisSpec, ...] = (
                  "PeeringDB org types of top sources", False,
                  (CONTROL, DATA), columnar=True),
     AnalysisSpec("fig10_merge_sweep", "§5.1 / Fig. 10",
-                 "event merge-threshold sweep", False, (CONTROL,),
-                 columnar=True),
+                 "event merge-threshold sweep", False, (CONTROL,)),
     AnalysisSpec("table2_pre_classes", "§5.2 / Table 2",
                  "pre-RTBH anomaly classification", True, (CONTROL, DATA),
                  columnar=True),

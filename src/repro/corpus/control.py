@@ -4,14 +4,17 @@ during the measurement period, in time order.
 Withdrawals carry no communities on the wire, so "RTBH-related" withdrawals
 are identified the way the paper must: a withdrawal is blackhole-related
 when the same peer currently has a blackhole announcement standing for the
-prefix. :meth:`ControlPlaneCorpus.rtbh_updates` performs that stateful
-classification once and caches it.
+prefix.  :class:`RTBHAutomaton` is the one state machine that makes that
+decision and tracks the §5.1 announcement windows; the corpus feeds it
+once and caches it, and the streaming reducer *is* one, so batch and
+stream agree by construction.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -24,6 +27,77 @@ from repro import telemetry
 
 #: marker returned alongside updates by :meth:`rtbh_updates`
 RTBH_RELATED = "rtbh"
+
+#: one announcement window: (announce time, withdraw time, announcer ASN)
+Window = Tuple[float, float, int]
+
+
+class RTBHAutomaton:
+    """The announce/withdraw state machine behind every RTBH decision.
+
+    Fed UPDATEs in time order, :meth:`feed` flags each one as
+    blackhole-related or not and maintains the §5.1 window state per
+    (peer, prefix) key:
+
+    * a blackhole announcement is flagged and opens a window (a repeat
+      while one is open keeps the first start);
+    * a withdraw, or a plain announcement replacing the blackhole route,
+      is flagged iff the key has a standing blackhole, and closes its
+      window;
+    * anything else is not RTBH-related.
+    """
+
+    def __init__(self) -> None:
+        #: (peer, prefix) pairs with a standing blackhole announcement;
+        #: always the keys of :attr:`open_at`, kept as a set because the
+        #: stream checkpoint records it in set order
+        self.active: Set[Tuple[int, IPv4Prefix]] = set()
+        #: (peer, prefix) -> announce time of the currently-open window
+        self.open_at: Dict[Tuple[int, IPv4Prefix], float] = {}
+        #: prefix -> closed (start, end, announcer) windows
+        self.windows: Dict[IPv4Prefix, List[Window]] = {}
+        #: (prefix, announcer) -> first origin ASN announced
+        self.origin_of: Dict[Tuple[IPv4Prefix, int], int] = {}
+        #: timestamps of every RTBH-related update (Fig. 3 message series)
+        self.rtbh_times: List[float] = []
+        self.message_count = 0
+        self.start_time: Optional[float] = None
+        self.end_time: Optional[float] = None
+
+    def feed(self, msg: BGPUpdate) -> bool:
+        """Apply one UPDATE; returns whether it is RTBH-related."""
+        self.message_count += 1
+        if self.start_time is None:
+            self.start_time = msg.time
+        self.end_time = msg.time
+        key = (msg.peer_asn, msg.prefix)
+        if msg.is_announce and msg.is_blackhole:
+            self.active.add(key)
+            self.open_at.setdefault(key, msg.time)
+            self.origin_of.setdefault((msg.prefix, msg.peer_asn),
+                                      msg.origin_asn)
+        elif key in self.active:
+            self.active.discard(key)
+            self.windows.setdefault(msg.prefix, []).append(
+                (self.open_at.pop(key), msg.time, msg.peer_asn))
+        else:
+            return False
+        self.rtbh_times.append(msg.time)
+        return True
+
+    def windows_snapshot(self) -> Dict[IPv4Prefix, List[Window]]:
+        """Per prefix: the sorted (announce, withdraw, announcer) windows
+        fed so far, in a fresh dict.
+
+        A window still open closes at the last fed time — the paper
+        treats still-active blackholes (e.g. zombies) the same way.
+        """
+        out = {prefix: list(ws) for prefix, ws in self.windows.items()}
+        for (peer, prefix), start in self.open_at.items():
+            out.setdefault(prefix, []).append((start, self.end_time, peer))
+        for ws in out.values():
+            ws.sort()
+        return out
 
 
 class ControlPlaneCorpus:
@@ -60,7 +134,6 @@ class ControlPlaneCorpus:
         report.loaded = len(self._messages)
         #: accounting of what construction/loading kept and dropped
         self.ingest_report: IngestReport = report
-        self._rtbh_flags: Optional[List[bool]] = None
 
     def __len__(self) -> int:
         return len(self._messages)
@@ -85,63 +158,38 @@ class ControlPlaneCorpus:
 
     # -- RTBH classification ---------------------------------------------------
 
-    def _classify(self) -> List[bool]:
-        if self._rtbh_flags is not None:
-            return self._rtbh_flags
-        flags: List[bool] = []
-        active: Set[Tuple[int, IPv4Prefix]] = set()
-        for msg in self._messages:
-            key = (msg.peer_asn, msg.prefix)
-            if msg.action is UpdateAction.ANNOUNCE:
-                if msg.is_blackhole:
-                    active.add(key)
-                    flags.append(True)
-                else:
-                    # replaces any standing blackhole from this peer
-                    was_blackhole = key in active
-                    active.discard(key)
-                    flags.append(was_blackhole)
-            else:
-                flags.append(key in active)
-                active.discard(key)
-        self._rtbh_flags = flags
-        return flags
+    @cached_property
+    def _rtbh(self) -> Tuple[RTBHAutomaton, List[BGPUpdate], int]:
+        automaton = RTBHAutomaton()
+        flagged = [msg for msg in self._messages if automaton.feed(msg)]
+        announcements = sum(m.is_announce and m.is_blackhole for m in flagged)
+        return automaton, flagged, announcements
+
+    @property
+    def rtbh_automaton(self) -> RTBHAutomaton:
+        """The automaton fed with the whole corpus (built on first use)."""
+        return self._rtbh[0]
 
     def rtbh_updates(self) -> List[BGPUpdate]:
         """Only the blackhole-related updates (announce + paired withdraw)."""
-        flags = self._classify()
-        return [m for m, f in zip(self._messages, flags) if f]
+        return list(self._rtbh[1])
 
     def rtbh_message_count(self) -> int:
-        return sum(self._classify())
+        return len(self._rtbh[1])
+
+    def rtbh_announcement_count(self) -> int:
+        """Blackhole announcements only (Fig. 10's denominator); a plain
+        announcement replacing a blackhole is flagged but not counted."""
+        return self._rtbh[2]
 
     def rtbh_prefixes(self) -> Set[IPv4Prefix]:
         """Every prefix that was ever blackholed via the route server."""
-        return {m.prefix for m in self.rtbh_updates()}
+        return {m.prefix for m in self._rtbh[1]}
 
-    def rtbh_windows_by_prefix(self) -> Dict[IPv4Prefix, List[Tuple[float, float, int]]]:
-        """Per prefix: (announce_time, withdraw_time, announcer ASN) windows.
-
-        A window left open at the end of the corpus closes at
-        :attr:`end_time` — the paper treats still-active blackholes (e.g.
-        zombies) the same way.
-        """
-        open_at: Dict[Tuple[int, IPv4Prefix], float] = {}
-        out: Dict[IPv4Prefix, List[Tuple[float, float, int]]] = {}
-        for msg in self.rtbh_updates():
-            key = (msg.peer_asn, msg.prefix)
-            if msg.action is UpdateAction.ANNOUNCE:
-                open_at.setdefault(key, msg.time)
-            else:
-                start = open_at.pop(key, None)
-                if start is not None:
-                    out.setdefault(msg.prefix, []).append((start, msg.time, msg.peer_asn))
-        end = self.end_time if self._messages else 0.0
-        for (peer, prefix), start in open_at.items():
-            out.setdefault(prefix, []).append((start, end, peer))
-        for windows in out.values():
-            windows.sort()
-        return out
+    def rtbh_windows_by_prefix(self) -> Dict[IPv4Prefix, List[Window]]:
+        """Per prefix: (announce_time, withdraw_time, announcer ASN) windows
+        (see :meth:`RTBHAutomaton.windows_snapshot`)."""
+        return self.rtbh_automaton.windows_snapshot()
 
     # -- persistence -----------------------------------------------------------------
 

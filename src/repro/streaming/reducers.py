@@ -2,10 +2,9 @@
 
 Each reducer mirrors one batch computation exactly:
 
-* :class:`ControlReducer` — the stateful RTBH classification of
-  :meth:`ControlPlaneCorpus._classify` plus the window automaton of
-  :meth:`~repro.corpus.control.ControlPlaneCorpus.rtbh_windows_by_prefix`,
-  fed one UPDATE at a time.  Its snapshot feeds the §5.1 Δ-merge
+* :class:`ControlReducer` — the corpus' own
+  :class:`~repro.corpus.control.RTBHAutomaton`, fed one UPDATE at a
+  time.  Its snapshot feeds the §5.1 Δ-merge
   (:func:`~repro.core.events.events_from_merged_windows`) and the Fig. 3
   load series (:func:`~repro.core.load.load_series_from_state`).
 * :class:`TrafficReducer` — the §4.2 per-event integer traffic totals
@@ -24,11 +23,10 @@ resumed fingerprints byte-identical.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.bgp.message import BGPUpdate
 from repro.core.droprate import EventTraffic, window_traffic_totals
 from repro.core.events import (
     DEFAULT_DELTA,
@@ -43,85 +41,22 @@ from repro.core.pre_rtbh import (
     PreRTBHEvent,
     classify_single_event,
 )
+from repro.corpus.control import RTBHAutomaton
 from repro.corpus.data import DataPlaneCorpus
-from repro.errors import AnalysisError, StreamError
+from repro.errors import AnalysisError, StreamCheckpointError, StreamError
 from repro.net.ip import IPv4Prefix
 from repro.stats.anomaly import AnomalyConfig, EWMAAnomalyDetector
 
 
-class ControlReducer:
-    """Incremental mirror of the corpus-level RTBH automata.
+class ControlReducer(RTBHAutomaton):
+    """The RTBH window automaton plus the §5.1/Fig. 3 views and a
+    checkpointable state.
 
     Feeding every message of a corpus in time order leaves this reducer
-    in a state whose :meth:`windows_snapshot` equals
-    ``corpus.rtbh_windows_by_prefix()`` and whose :attr:`rtbh_times`
-    equal the timestamps of ``corpus.rtbh_updates()`` — the invariants
-    the golden-equivalence suite asserts per watermark.
+    in the state ``corpus.rtbh_automaton`` reaches, so its
+    :meth:`windows_snapshot` equals ``corpus.rtbh_windows_by_prefix()``
+    at every watermark by construction.
     """
-
-    def __init__(self) -> None:
-        #: (peer, prefix) pairs with a standing blackhole announcement
-        self.active: set = set()
-        #: (peer, prefix) -> announce time of the currently-open window
-        self.open_at: Dict[Tuple[int, IPv4Prefix], float] = {}
-        #: prefix -> closed (start, end, announcer) windows
-        self.windows: Dict[IPv4Prefix, List[Tuple[float, float, int]]] = {}
-        #: (prefix, announcer) -> first origin ASN announced
-        self.origin_of: Dict[Tuple[IPv4Prefix, int], int] = {}
-        #: timestamps of every RTBH-related update (Fig. 3 message series)
-        self.rtbh_times: List[float] = []
-        self.message_count = 0
-        self.start_time: Optional[float] = None
-        self.end_time: Optional[float] = None
-
-    def feed(self, msg: BGPUpdate) -> None:
-        """Apply one UPDATE (messages must arrive in time order)."""
-        self.message_count += 1
-        if self.start_time is None:
-            self.start_time = msg.time
-        self.end_time = msg.time
-        key = (msg.peer_asn, msg.prefix)
-        if msg.is_announce:
-            if msg.is_blackhole:
-                self.active.add(key)
-                flagged = True
-            else:
-                # replaces any standing blackhole from this peer
-                flagged = key in self.active
-                self.active.discard(key)
-        else:
-            flagged = key in self.active
-            self.active.discard(key)
-        if not flagged:
-            return
-        self.rtbh_times.append(msg.time)
-        if msg.is_announce:
-            self.origin_of.setdefault((msg.prefix, msg.peer_asn),
-                                      msg.origin_asn)
-            self.open_at.setdefault(key, msg.time)
-        else:
-            start = self.open_at.pop(key, None)
-            if start is not None:
-                self.windows.setdefault(msg.prefix, []).append(
-                    (start, msg.time, msg.peer_asn))
-
-    # -- snapshots -----------------------------------------------------------
-
-    def windows_snapshot(self) -> Dict[IPv4Prefix,
-                                       List[Tuple[float, float, int]]]:
-        """``rtbh_windows_by_prefix()`` of the messages fed so far.
-
-        Still-open windows close artificially at the current end time —
-        exactly the batch semantics, so the snapshot matches the batch
-        map at every frontier.
-        """
-        out = {prefix: list(ws) for prefix, ws in self.windows.items()}
-        end = self.end_time if self.message_count else 0.0
-        for (peer, prefix), start in self.open_at.items():
-            out.setdefault(prefix, []).append((start, end, peer))
-        for ws in out.values():
-            ws.sort()
-        return out
 
     def events(self, delta: float = DEFAULT_DELTA) -> List[RTBHEvent]:
         """The Δ-merged events of the stream so far (§5.1)."""
@@ -178,6 +113,15 @@ class ControlReducer:
             reducer.end_time = state["end_time"]
         except (KeyError, TypeError, ValueError) as exc:
             raise StreamError(f"corrupt control reducer state: {exc}") from exc
+        # the automaton keeps ``active`` equal to the keys of ``open_at``;
+        # older reducers left a key in ``open_at`` after a plain
+        # announcement replaced its blackhole, and resuming such a state
+        # would diverge from a fresh batch run: the checkpoint must be
+        # discarded and the stream re-consumed
+        if reducer.active != set(reducer.open_at):
+            raise StreamCheckpointError(
+                "corrupt control reducer state: active keys differ from "
+                "the open windows")
         return reducer
 
 

@@ -1,6 +1,4 @@
-"""The named analysis registry and the deprecated accessor shims."""
-
-import warnings
+"""The named analysis registry: analyses are addressed by name only."""
 
 import pytest
 
@@ -40,18 +38,6 @@ def test_run_rejects_unknown_name(tiny_pipeline):
         tiny_pipeline.run("fig99_nonsense")
 
 
-def test_deprecated_accessor_warns_and_delegates(tiny_pipeline):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        via_run = tiny_pipeline.run("fig3_load")
-    with pytest.warns(DeprecationWarning, match="fig3_load"):
-        via_shim = tiny_pipeline.fig3_load()
-    assert via_shim.peak_active == via_run.peak_active
-    assert via_shim.mean_active == via_run.mean_active
-
-
-def test_every_shim_exists_and_warns(tiny_pipeline):
+def test_analyses_have_no_per_figure_accessors(tiny_pipeline):
     for name in ANALYSIS_NAMES:
-        shim = getattr(type(tiny_pipeline), name)
-        assert shim.__name__ == name
-        assert "Deprecated" in (shim.__doc__ or "")
+        assert not hasattr(tiny_pipeline, name), name

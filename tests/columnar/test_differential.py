@@ -49,7 +49,7 @@ class TestTinyScenario:
     def test_columnar_flag_covers_the_hot_analyses(self):
         assert set(columnar_names()) == {
             "fig5_drop_by_length", "fig6_drop_cdfs", "fig7_top_sources",
-            "fig8_org_types", "fig10_merge_sweep", "table2_pre_classes",
+            "fig8_org_types", "table2_pre_classes",
             "sec54_protocol_mix", "table3_amplification",
             "fig14_filterable", "fig15_participation"}
 

@@ -26,7 +26,6 @@ class TestEnginePolicy:
         control, data = _load(stream_corpus)
         pipeline = build_pipeline(control, data, [100])
         assert isinstance(pipeline, ColumnarPipeline)
-        assert len(pipeline.control_columns["time"]) == len(control)
         assert tuple(pipeline.data_columns) == DATA_COLUMNS
         for name, column in pipeline.data_columns.items():
             assert column.flags.c_contiguous, name

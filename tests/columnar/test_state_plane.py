@@ -92,17 +92,17 @@ class TestMetaCorruption:
         record = AnalysisPipeline(control, data, [100], host_min_days=1)
         columnar = ColumnarPipeline(control, data, [100], host_min_days=1)
         assert "events" not in columnar.__dict__
-        blackhole = columnar.control_columns["blackhole"]
-        flagged = np.flatnonzero(blackhole)
-        assert flagged.size, "the seeded corpus always has RTBH traffic"
-        blackhole[flagged[0]] = False  # the first blackhole announcement
+        dropped = columnar.data_columns["dropped"]
+        flagged = np.flatnonzero(dropped)
+        assert flagged.size, "the seeded corpus always drops traffic"
+        dropped[flagged[0]] = False  # the first dropped packet
         diverged = []
         for name in columnar_names():
             rec, col = outcome(record, name), outcome(columnar, name)
             if (col.status, col.value_digest) != (rec.status,
                                                   rec.value_digest):
                 diverged.append(name)
-        assert diverged, ("a flipped blackhole bit must change at least "
+        assert diverged, ("a flipped dropped bit must change at least "
                           "one columnar fingerprint")
         with pytest.raises(AssertionError):
             for name in columnar_names():

@@ -1,5 +1,10 @@
-"""Property-based tests of the Δ-merge machinery: the fast gap-counting
-sweep must agree with actually extracting events, for any corpus."""
+"""Property-based tests of the RTBH window automaton and the Δ-merge
+machinery: the corpus and the streaming reducer must agree with an
+independent per-(peer, prefix) replay on adversarial UPDATE streams, and
+the fast gap-counting sweep must agree with actually extracting events,
+for any corpus."""
+
+import json
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,6 +15,7 @@ from repro.bgp.message import announce, withdraw
 from repro.core.events import extract_events, merge_threshold_sweep
 from repro.corpus import ControlPlaneCorpus
 from repro.net import IPv4Address, IPv4Prefix
+from repro.streaming import ControlReducer
 
 NH = IPv4Address("192.0.2.66")
 PREFIXES = [IPv4Prefix("203.0.113.7/32"), IPv4Prefix("203.0.113.9/32"),
@@ -32,6 +38,103 @@ def corpora(draw):
                                      communities=frozenset({BLACKHOLE})))
             messages.append(withdraw(end, 100, prefix))
     return ControlPlaneCorpus(messages)
+
+
+@st.composite
+def adversarial_streams(draw):
+    """UPDATE streams with duplicate blackhole announces, orphan
+    withdraws, plain announces replacing a blackhole, two peers on one
+    prefix, and windows left open at the end."""
+    ops = draw(st.lists(
+        st.tuples(st.sampled_from(["bh", "plain", "withdraw"]),
+                  st.sampled_from([100, 200]),
+                  st.sampled_from(PREFIXES[:2]),
+                  st.integers(0, 900),
+                  st.sampled_from([64_501, 64_502])),
+        min_size=1, max_size=40))
+    messages, t = [], 0.0
+    for op, peer, prefix, step, origin in ops:
+        t += float(step)
+        if op == "withdraw":
+            messages.append(withdraw(t, peer, prefix))
+        else:
+            communities = frozenset({BLACKHOLE}) if op == "bh" else frozenset()
+            messages.append(announce(t, peer, prefix, NH,
+                                     as_path=(peer, origin),
+                                     communities=communities))
+    return messages
+
+
+def replay_oracle(messages):
+    """Replay each (peer, prefix) key on its own: a blackhole announce
+    opens the key's window (or keeps it open), any other update of an
+    open key is RTBH-related and closes it, and windows still open close
+    at the last update of the whole stream."""
+    by_key = {}
+    for index, msg in enumerate(messages):
+        by_key.setdefault((msg.peer_asn, msg.prefix), []).append(index)
+    flags = [False] * len(messages)
+    windows, origins, announcements = {}, {}, 0
+    for (peer, prefix), indices in by_key.items():
+        start = None
+        for index in indices:
+            msg = messages[index]
+            if msg.is_announce and msg.is_blackhole:
+                flags[index] = True
+                announcements += 1
+                origins.setdefault((prefix, peer), msg.origin_asn)
+                start = msg.time if start is None else start
+            elif start is not None:
+                flags[index] = True
+                windows.setdefault(prefix, []).append((start, msg.time, peer))
+                start = None
+        if start is not None:
+            windows.setdefault(prefix, []).append(
+                (start, messages[-1].time, peer))
+    for ws in windows.values():
+        ws.sort()
+    return flags, windows, origins, announcements
+
+
+class TestWindowAutomaton:
+    @settings(max_examples=150, deadline=None)
+    @given(adversarial_streams())
+    def test_corpus_matches_replay_oracle(self, messages):
+        corpus = ControlPlaneCorpus(messages)
+        ordered = list(corpus)
+        flags, windows, origins, announcements = replay_oracle(ordered)
+        assert corpus.rtbh_updates() == [
+            m for m, flag in zip(ordered, flags) if flag]
+        assert corpus.rtbh_windows_by_prefix() == windows
+        automaton = corpus.rtbh_automaton
+        assert automaton.origin_of == origins
+        assert corpus.rtbh_announcement_count() == announcements
+        assert automaton.rtbh_times == [
+            m.time for m, flag in zip(ordered, flags) if flag]
+
+    @settings(max_examples=150, deadline=None)
+    @given(adversarial_streams(), st.integers(0, 40))
+    def test_chunked_reducer_matches_corpus(self, messages, split):
+        corpus = ControlPlaneCorpus(messages)
+        ordered = list(corpus)
+        split = min(split, len(ordered))
+        first = ControlReducer()
+        fed = [first.feed(m) for m in ordered[:split]]
+        resumed = ControlReducer.from_state(
+            json.loads(json.dumps(first.to_state())))
+        fed += [resumed.feed(m) for m in ordered[split:]]
+        assert [m for m, flag in zip(ordered, fed) if flag] \
+            == corpus.rtbh_updates()
+        automaton = corpus.rtbh_automaton
+        assert resumed.windows_snapshot() == corpus.rtbh_windows_by_prefix()
+        assert resumed.origin_of == automaton.origin_of
+        assert resumed.rtbh_times == automaton.rtbh_times
+        assert resumed.active == automaton.active
+        assert resumed.open_at == automaton.open_at
+        assert (resumed.message_count, resumed.start_time,
+                resumed.end_time) == (len(corpus), corpus.start_time,
+                                      corpus.end_time)
+        assert resumed.events() == extract_events(corpus)
 
 
 class TestSweepConsistency:

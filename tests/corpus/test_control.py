@@ -37,9 +37,13 @@ class TestClassification:
             bh(1.0, 100),
             announce(2.0, 100, HOST, NH),  # downgraded to a normal route
             withdraw(3.0, 100, HOST),       # withdraws the *normal* route
+            announce(100.0, 200, NET, NH),  # unrelated, ends the corpus
         ])
         flags = [m.time for m in corpus.rtbh_updates()]
         assert flags == [1.0, 2.0]
+        # the replacing announcement closes the blackhole window
+        assert corpus.rtbh_windows_by_prefix() == {HOST: [(1.0, 2.0, 100)]}
+        assert corpus.rtbh_announcement_count() == 1
 
     def test_sorted_on_construction(self):
         corpus = ControlPlaneCorpus([withdraw(5.0, 100, HOST), bh(1.0, 100)])

@@ -3,8 +3,11 @@ under any chunking of the input and across a state round trip."""
 
 import pytest
 
+from repro.bgp import BLACKHOLE
+from repro.bgp.message import announce, withdraw
 from repro.core.events import DEFAULT_DELTA
-from repro.errors import AnalysisError, StreamError
+from repro.errors import AnalysisError, StreamCheckpointError, StreamError
+from repro.net import IPv4Address, IPv4Prefix
 from repro.parallel.golden import value_fingerprint
 from repro.streaming import ControlReducer, PreRTBHReducer, TrafficReducer
 
@@ -55,9 +58,44 @@ def test_chunked_feed_and_state_roundtrip(tiny_result, fed_control):
     assert resumed.rtbh_times == fed_control.rtbh_times
 
 
+def test_replacing_announce_closes_the_window():
+    host, nh = IPv4Prefix("203.0.113.7/32"), IPv4Address("192.0.2.66")
+    reducer = _fed([
+        announce(100.0, 100, host, nh, communities=frozenset({BLACKHOLE})),
+        announce(200.0, 100, host, nh),
+        withdraw(300.0, 100, host),
+        announce(10_000.0, 200, IPv4Prefix("198.51.100.0/24"), nh),
+    ])
+    assert reducer.windows_snapshot() == {host: [(100.0, 200.0, 100)]}
+    assert reducer.rtbh_times == [100.0, 200.0]
+    assert [ev.windows for ev in reducer.events()] == [((100.0, 200.0),)]
+
+
 def test_corrupt_control_state_raises():
     with pytest.raises(StreamError, match="corrupt control reducer"):
         ControlReducer.from_state({"active": [["x"]]})
+
+
+def test_state_with_window_left_open_after_replacement_is_rejected():
+    # what an older reducer checkpointed after a blackhole announce@100
+    # and a replacing plain announce@200: the key left ``active`` but its
+    # window stayed in ``open_at``
+    state = {
+        "active": [],
+        "open_at": [[100, "203.0.113.7/32", 100.0]],
+        "windows": {},
+        "origin_of": [["203.0.113.7/32", 100, 100]],
+        "rtbh_times": [100.0, 200.0],
+        "message_count": 2,
+        "start_time": 100.0,
+        "end_time": 200.0,
+    }
+    with pytest.raises(StreamCheckpointError,
+                       match="corrupt control reducer state"):
+        ControlReducer.from_state(state)
+    state["active"] = [[100, "203.0.113.7/32"]]
+    assert ControlReducer.from_state(state).open_at == {
+        (100, IPv4Prefix("203.0.113.7/32")): 100.0}
 
 
 def test_traffic_fragments_tile_windows(tiny_result, tiny_pipeline,
