@@ -16,21 +16,21 @@ asserted inline — the post-advance stream report must carry the same
 value fingerprints as the batch run, otherwise the timing is
 meaningless.
 
-The measurements land in ``benchmarks/latest_results.txt`` and as
-machine-readable JSON in ``benchmarks/BENCH_streaming.json`` (committed,
-so the incremental-vs-batch ratio is tracked across PRs).  Scale knobs::
+The measurements land in ``benchmarks/latest_results.txt`` and as the
+dated ``latest`` entry of ``benchmarks/BENCH_streaming.json`` (committed;
+earlier entries move to its ``history``, so the incremental-vs-batch
+ratio is tracked across PRs).  Scale knobs::
 
     REPRO_BENCH_STREAM_SCALE  default 0.02
     REPRO_BENCH_STREAM_DAYS   default 5
     REPRO_BENCH_STREAM_SEED   default 7
 """
 
-import json
 import os
 import time
 from pathlib import Path
 
-from benchmarks.conftest import report
+from benchmarks.conftest import record_bench_json, report
 from repro import AnalyzeOptions, GenerateOptions, Study
 from repro.core.registry import incremental_names
 from repro.streaming import StreamEngine, advance_corpus
@@ -89,9 +89,9 @@ def test_bench_streaming_advance(tmp_path_factory):
         "incremental_vs_batch_ratio": round(ratio, 3),
         "incremental_analyses": list(incremental),
         "fingerprints_equal_batch": True,
+        "cpu_count": os.cpu_count(),
     }
-    RESULTS_JSON.write_text(json.dumps(results, indent=2, sort_keys=True)
-                            + "\n")
+    record_bench_json(RESULTS_JSON, results)
 
     report(
         f"Streaming advance (scale={STREAM_SCALE}, {STREAM_DAYS:g}+1 "

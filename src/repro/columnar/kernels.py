@@ -15,8 +15,8 @@ construction rather than by parallel reimplementation.
   over the contiguous time column plus per-window prefix masks.
   Gathering those rows from the packed record array yields exactly the
   array the record path builds by slice+mask+concat, which is what the
-  ``window_packets`` hooks in :mod:`repro.core.protocols`,
-  :mod:`repro.core.filtering`, and :mod:`repro.core.pre_rtbh` consume.
+  ``window_packets`` hooks in :mod:`repro.core.protocols` and
+  :mod:`repro.core.filtering` consume.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.core.droprate import EventTraffic, SourceReaction
 from repro.core.events import RTBHEvent
-from repro.core.pre_rtbh import PRE_WINDOW
 from repro.errors import AnalysisError
 
 _MAX32 = 0xFFFFFFFF
@@ -136,31 +135,3 @@ def top_source_reactions_from_rows(
                                 int(dropped[i])) for i in order]
     reactions.sort(key=lambda r: r.drop_share, reverse=True)
     return reactions
-
-
-def pre_window_rows(time_col: np.ndarray, dst_col: np.ndarray,
-                    events: Sequence[RTBHEvent],
-                    pre_window: float = PRE_WINDOW,
-                    ) -> Dict[int, np.ndarray]:
-    """Per event: row indices of its 72 h pre-window prefix traffic."""
-    out: Dict[int, np.ndarray] = {}
-    if not events:
-        return out
-    if len(time_col) == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return {ev.event_id: empty for ev in events}
-    starts = np.fromiter((ev.start - pre_window for ev in events),
-                         dtype=np.float64, count=len(events))
-    ends = np.fromiter((ev.start for ev in events), dtype=np.float64,
-                       count=len(events))
-    lo = np.searchsorted(time_col, starts, side="left").tolist()
-    hi = np.searchsorted(time_col, ends, side="left").tolist()
-    for ev, l, h in zip(events, lo, hi):
-        if h <= l:
-            out[ev.event_id] = np.zeros(0, dtype=np.int64)
-            continue
-        bits = _prefix_bits(ev.prefix.length)
-        target = np.uint32(ev.prefix.network_int)
-        rows = np.flatnonzero((dst_col[l:h] & bits) == target)
-        out[ev.event_id] = rows.astype(np.int64) + l
-    return out

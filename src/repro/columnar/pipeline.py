@@ -1,13 +1,13 @@
 """The columnar analysis pipeline.
 
 :class:`ColumnarPipeline` is an :class:`~repro.core.pipeline
-.AnalysisPipeline` whose data-plane intermediates (per-event traffic,
-pre-RTBH classification) and hottest analyses are computed by the
-vectorized kernels of :mod:`repro.columnar.kernels` over contiguous
-in-memory copies of the five packet fields they read, instead of
-per-event record scans.  Events come from the inherited
+.AnalysisPipeline` whose per-event traffic and hottest analyses are
+computed by the vectorized kernels of :mod:`repro.columnar.kernels` over
+contiguous in-memory copies of the five packet fields they read, instead
+of per-event record scans.  Events come from the inherited
 :attr:`~repro.core.pipeline.AnalysisPipeline.events`: the control
-corpus' own RTBH window automaton.
+corpus' own RTBH window automaton; the pre-RTBH classification is the
+inherited batched pass of :mod:`repro.core.pre_rtbh`.
 
 Dispatch is by capability flag: registry specs with ``columnar=True``
 resolve to a ``_columnar_*`` twin, every other analysis falls through to
@@ -33,7 +33,6 @@ import numpy as np
 from repro.columnar import kernels
 from repro.core import droprate as droprate_mod
 from repro.core import filtering as filtering_mod
-from repro.core import pre_rtbh as pre_mod
 from repro.core import protocols as protocols_mod
 from repro.core.events import RTBHEvent
 from repro.core.pipeline import AnalysisPipeline
@@ -66,9 +65,11 @@ class ColumnarPipeline(AnalysisPipeline):
 
     @cached_property
     def data_columns(self) -> Dict[str, np.ndarray]:
-        """Contiguous copies of the packet fields in :data:`DATA_COLUMNS`."""
+        """Contiguous copies of the packet fields in :data:`DATA_COLUMNS`
+        (``time`` is the corpus' own contiguous column)."""
         packets = self.data.packets
-        return {name: np.ascontiguousarray(packets[name])
+        return {name: (self.data.times if name == "time"
+                       else np.ascontiguousarray(packets[name]))
                 for name in DATA_COLUMNS}
 
     # -- data-plane kernel state ---------------------------------------
@@ -80,32 +81,15 @@ class ColumnarPipeline(AnalysisPipeline):
                                        self.data_columns["dst_ip"],
                                        self.events)
 
-    @cached_property
-    def _pre_rows(self) -> Dict[int, np.ndarray]:
-        """Per event: packet-row indices of its 72 h pre-window."""
-        return kernels.pre_window_rows(self.data_columns["time"],
-                                       self.data_columns["dst_ip"],
-                                       self.events)
-
     def _window_packets(self, event: RTBHEvent) -> np.ndarray:
         """The ``window_packets`` hook: gather instead of slice+mask."""
         return self.data.packets[self._event_rows[event.event_id]]
-
-    def _pre_window_packets(self, event: RTBHEvent) -> np.ndarray:
-        return self.data.packets[self._pre_rows[event.event_id]]
 
     @cached_property
     def event_traffic(self) -> List[droprate_mod.EventTraffic]:
         """Per-event during-blackhole totals — vectorized twin."""
         return kernels.event_traffic_from_rows(
             self.data_columns, self.events, self._event_rows)
-
-    @cached_property
-    def pre_classification(self) -> pre_mod.PreRTBHClassification:
-        """Pre-RTBH classification — row-gathered windows, same EWMA."""
-        return pre_mod.classify_pre_rtbh_events(
-            self.data, self.events,
-            window_packets=self._pre_window_packets)
 
     # -- dispatch ------------------------------------------------------
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from repro.corpus.data import DataPlaneCorpus
 from repro.errors import AnalysisError
 from repro.ixp.peeringdb import OrgType, PeeringDB
 from repro.net.ip import IPv4Prefix
-from repro.net.radix import RadixTree
 
 DAY = 86_400.0
 REACTION_MARGIN = 600.0
@@ -89,13 +88,21 @@ class HostStudy:
         return out
 
 
-def _origin_map(control: ControlPlaneCorpus) -> RadixTree:
-    """Host → origin AS via the RTBH announcements covering it."""
-    tree: RadixTree = RadixTree()
+def _origin_map(control: ControlPlaneCorpus) -> Dict[IPv4Prefix, int]:
+    """Each RTBH prefix → origin AS of its last announcement."""
+    origins: Dict[IPv4Prefix, int] = {}
     for msg in control.rtbh_updates():
         if msg.is_announce:
-            tree.insert(msg.prefix, msg.origin_asn)
-    return tree
+            origins[msg.prefix] = msg.origin_asn
+    return origins
+
+
+def _prefix_span(ips: np.ndarray, prefix: IPv4Prefix) -> Tuple[int, int]:
+    """The index range of ``prefix``'s addresses in the sorted ``ips``."""
+    first = prefix.network_int
+    last = first + (1 << (32 - prefix.length))
+    lo, hi = np.searchsorted(ips, (first, last), side="left")
+    return int(lo), int(hi)
 
 
 def _exclusion_intervals(events: Sequence[RTBHEvent]) -> Dict[IPv4Prefix, List[Tuple[float, float]]]:
@@ -107,13 +114,56 @@ def _exclusion_intervals(events: Sequence[RTBHEvent]) -> Dict[IPv4Prefix, List[T
     return out
 
 
-def host_port_features(incoming: np.ndarray, outgoing: np.ndarray) -> Tuple[int, int, int, int]:
-    """The four port-diversity features of Fig. 16 for one host."""
+def _host_sides(data: DataPlaneCorpus, field: str, fields: Sequence[str],
+                host_ips: np.ndarray,
+                exclusions: Sequence[Sequence[Tuple[float, float]]],
+                ) -> Iterator[Dict[str, np.ndarray]]:
+    """Per host of the sorted ``host_ips``: the packets whose ``field``
+    is that host and that fall outside its exclusion intervals, as
+    ``time`` plus ``fields``.
+
+    One stable sort by address groups the rows, so each host's rows are
+    one ``searchsorted`` range, still in time order; only the fields the
+    study reads are gathered, host by host.
+    """
+    order = np.argsort(data.packets[field], kind="stable")
+    addresses = data.packets[field][order]
+    ips = host_ips.astype(addresses.dtype)
+    lo = np.searchsorted(addresses, ips, side="left").tolist()
+    hi = np.searchsorted(addresses, ips, side="right").tolist()
+    del addresses
+    for l, h, intervals in zip(lo, hi, exclusions):
+        rows = order[l:h]
+        times = data.times[rows]
+        keep = np.ones(len(rows), dtype=bool)
+        for start, end in intervals:
+            keep &= ~((times >= start) & (times < end))
+        rows = rows[keep]
+        side = {"time": times[keep]}
+        for name in fields:
+            side[name] = data.packets[name][rows]
+        yield side
+
+
+def _side_summary(packets: Dict[str, np.ndarray]) -> dict:
+    """What the study keeps of one direction of a host's traffic: the
+    ports only as distinct values, all :func:`host_port_features` counts."""
+    return {
+        "packets": len(packets["time"]),
+        "days": set((packets["time"] // DAY).astype(int).tolist()),
+        "src_port": np.unique(packets["src_port"]),
+        "dst_port": np.unique(packets["dst_port"]),
+    }
+
+
+def host_port_features(incoming, outgoing) -> Tuple[int, int, int, int]:
+    """The four port-diversity features of Fig. 16 for one host: its
+    incoming and outgoing packets, as arrays or field mappings."""
     return (
-        len(np.unique(incoming["src_port"])) if len(incoming) else 0,
-        len(np.unique(outgoing["src_port"])) if len(outgoing) else 0,
-        len(np.unique(incoming["dst_port"])) if len(incoming) else 0,
-        len(np.unique(outgoing["dst_port"])) if len(outgoing) else 0,
+        len(np.unique(incoming["src_port"])),
+        len(np.unique(outgoing["src_port"])),
+        len(np.unique(incoming["dst_port"])),
+        len(np.unique(outgoing["dst_port"])),
     )
 
 
@@ -127,31 +177,48 @@ def classify_hosts(
 ) -> HostStudy:
     """Profile every blackholed host with enough activity (§6.1's
     conservative ≥ ``min_days``-day criterion) and classify it."""
-    origin_tree = _origin_map(control)
-    exclusions = _exclusion_intervals(events)
+    origins = _origin_map(control)
     packets = data.packets
 
     # candidate hosts: addresses covered by any RTBH prefix, as traffic
-    # destinations or sources
-    unique_dst = np.unique(packets["dst_ip"])
-    unique_src = np.unique(packets["src_ip"])
-    covered = [ip for ip in np.union1d(unique_dst, unique_src)
-               if origin_tree.lookup(int(ip)) is not None]
+    # destinations or sources; the most specific prefix names the origin
+    ips = np.union1d(np.unique(packets["dst_ip"]),
+                     np.unique(packets["src_ip"])).astype(np.int64)
+    covered = np.zeros(len(ips), dtype=bool)
+    origin_of = np.zeros(len(ips), dtype=np.int64)
+    for prefix, origin in sorted(origins.items(),
+                                 key=lambda item: item[0].length):
+        lo, hi = _prefix_span(ips, prefix)
+        covered[lo:hi] = True
+        origin_of[lo:hi] = origin
+    host_ips = ips[covered]
+
+    # each event prefix is tested once, against the sorted covered hosts
+    exclusions: List[List[Tuple[float, float]]] = [[] for _ in host_ips]
+    for prefix, spans in _exclusion_intervals(events).items():
+        lo, hi = _prefix_span(host_ips, prefix)
+        for k in range(lo, hi):
+            exclusions[k].extend(spans)
+
+    # one direction at a time, so only one row order is alive
+    incoming = [dict(_side_summary(side), top_ports=_daily_top_ports(side))
+                for side in _host_sides(data, "dst_ip",
+                                        ("src_port", "dst_port", "protocol"),
+                                        host_ips, exclusions)]
+    outgoing = [_side_summary(side)
+                for side in _host_sides(data, "src_ip",
+                                        ("src_port", "dst_port"),
+                                        host_ips, exclusions)]
 
     hosts: List[HostProfile] = []
-    for ip in covered:
-        ip = int(ip)
-        incoming = packets[packets["dst_ip"] == np.uint32(ip)]
-        outgoing = packets[packets["src_ip"] == np.uint32(ip)]
-        incoming = _outside_exclusions(incoming, ip, exclusions)
-        outgoing = _outside_exclusions(outgoing, ip, exclusions)
-        if len(incoming) == 0 and len(outgoing) == 0:
+    for ip, origin, inc, out in zip(host_ips.tolist(),
+                                    origin_of[covered].tolist(),
+                                    incoming, outgoing):
+        if inc["packets"] == 0 and out["packets"] == 0:
             continue
-        in_days = set((incoming["time"] // DAY).astype(int).tolist())
-        out_days = set((outgoing["time"] // DAY).astype(int).tolist())
-        active_days = len(in_days & out_days)
-        top_ports = _daily_top_ports(incoming)
-        variation = len(top_ports) / len(in_days) if in_days else 1.0
+        active_days = len(inc["days"] & out["days"])
+        top_ports = inc["top_ports"]
+        variation = len(top_ports) / len(inc["days"]) if inc["days"] else 1.0
         if active_days >= min_days:
             if variation <= server_variation:
                 cls = HostClass.SERVER
@@ -161,49 +228,33 @@ def classify_hosts(
                 cls = HostClass.UNCLASSIFIED
         else:
             cls = HostClass.UNCLASSIFIED
-        hit = origin_tree.lookup(ip)
         hosts.append(HostProfile(
             ip=ip,
             active_days=active_days,
-            port_features=host_port_features(incoming, outgoing),
+            port_features=host_port_features(inc, out),
             top_ports=tuple(sorted(top_ports)),
             port_variation=variation,
             classification=cls,
-            origin_asn=None if hit is None else int(hit[1]),
+            origin_asn=origin,
         ))
     return HostStudy(hosts=hosts, min_days=min_days)
 
 
-def _outside_exclusions(packets: np.ndarray, ip: int,
-                        exclusions: Dict[IPv4Prefix, List[Tuple[float, float]]]) -> np.ndarray:
-    if len(packets) == 0:
-        return packets
-    keep = np.ones(len(packets), dtype=bool)
-    times = packets["time"]
-    for prefix, intervals in exclusions.items():
-        if ip not in prefix:
-            continue
-        for start, end in intervals:
-            keep &= ~((times >= start) & (times < end))
-    return packets[keep]
-
-
-def _daily_top_ports(incoming: np.ndarray) -> set[Tuple[int, int]]:
-    """Distinct daily top (protocol, destination port) pairs."""
-    tops: set[Tuple[int, int]] = set()
-    if len(incoming) == 0:
-        return tops
+def _daily_top_ports(incoming: Dict[str, np.ndarray]) -> set[Tuple[int, int]]:
+    """Distinct daily top (protocol, destination port) pairs; a tie goes
+    to the smallest pair."""
+    if len(incoming["time"]) == 0:
+        return set()
     days = (incoming["time"] // DAY).astype(np.int64)
-    order = np.argsort(days, kind="stable")
-    days = days[order]
-    sorted_packets = incoming[order]
-    bounds = np.flatnonzero(np.r_[True, days[1:] != days[:-1]])
-    bounds = np.r_[bounds, len(days)]
-    for b in range(len(bounds) - 1):
-        chunk = sorted_packets[bounds[b]:bounds[b + 1]]
-        key = chunk["protocol"].astype(np.int64) << np.int64(16)
-        key |= chunk["dst_port"].astype(np.int64)
-        values, counts = np.unique(key, return_counts=True)
-        top = int(values[np.argmax(counts)])
-        tops.add((top >> 16, top & 0xFFFF))
-    return tops
+    key = incoming["protocol"].astype(np.int64) << np.int64(16)
+    key |= incoming["dst_port"].astype(np.int64)
+    pairs = np.sort((days << np.int64(24)) | key)
+    starts = np.flatnonzero(np.r_[True, pairs[1:] != pairs[:-1]])
+    counts = np.diff(np.r_[starts, len(pairs)])
+    values = pairs[starts]
+    day_of = values >> np.int64(24)
+    # per day: the highest count, then (stable) the smallest pair
+    best = np.lexsort((-counts, day_of))
+    best = best[np.r_[True, day_of[best][1:] != day_of[best][:-1]]]
+    top = (values[best] & np.int64(0xFFFFFF)).tolist()
+    return {(t >> 16, t & 0xFFFF) for t in top}

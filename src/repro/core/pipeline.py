@@ -17,6 +17,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Callable, Dict, List, Sequence
 
+from repro import telemetry
 from repro.core import classify as classify_mod
 from repro.core import collateral as collateral_mod
 from repro.core import droprate as droprate_mod
@@ -43,6 +44,10 @@ from repro.ixp.peeringdb import PeeringDB
 #: names (see :data:`repro.core.registry.ANALYSES`) so reports stay
 #: greppable against the paper
 ANALYSIS_NAMES = tuple(spec.name for spec in ANALYSES)
+
+#: the cached intermediates several analyses share, in build order
+SHARED_INTERMEDIATES = ("events", "pre_classification", "event_traffic",
+                        "host_study")
 
 
 class AnalysisPipeline:
@@ -193,15 +198,17 @@ class AnalysisPipeline:
 
         The scheduler calls this in the parent right before forking its
         first worker, so every worker inherits the caches via
-        copy-on-write instead of recomputing them.  Typed failures are
+        copy-on-write instead of recomputing them.  Each intermediate
+        gets its own ``analyze.warm.<name>`` span.  Typed failures are
         swallowed — the affected analyses will surface them individually.
         """
         from repro.errors import ReproError
 
-        for attr in ("events", "pre_classification", "event_traffic",
-                     "host_study"):
+        telem = telemetry.current()
+        for attr in SHARED_INTERMEDIATES:
             try:
-                getattr(self, attr)
+                with telem.span("analyze.warm." + attr):
+                    getattr(self, attr)
             except ReproError:
                 pass
 

@@ -6,20 +6,25 @@ packets, flows, unique source IPs, unique destination ports, non-TCP
 flows — and scanned with the EWMA anomaly detector (24 h span, 2.5 SD).
 Events are classified into: no sampled data at all / data but no anomaly /
 data with an anomaly within 10 minutes of the first announcement.
+
+Classification is one batch feature pass per chunk of
+:data:`CHUNK_EVENTS` events: the chunk's pre-window rows are gathered
+field by field, every (event, slot) cell is counted at once, and the
+detector runs once over a ``(slots, events × features)`` matrix.  The
+chunk bound keeps the pass's memory independent of the event count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.events import RTBHEvent
 from repro.corpus.data import DataPlaneCorpus
 from repro.errors import AnalysisError
-from repro.net.ip import IPv4Prefix
 from repro.stats.anomaly import AnomalyConfig, EWMAAnomalyDetector
 
 SLOT = 300.0                 # 5-minute slots
@@ -27,53 +32,73 @@ PRE_WINDOW = 72 * 3_600.0    # 72 hours
 N_SLOTS = int(PRE_WINDOW / SLOT)
 FEATURE_NAMES = ("packets", "flows", "src_ips", "dst_ports", "non_tcp_flows")
 
+#: events classified per batch: bounds the chunk's row gathers and its
+#: ``(N_SLOTS, CHUNK_EVENTS × 5)`` detector matrix
+CHUNK_EVENTS = 64
+
+#: the packet fields the slot features read
+_FIELDS = ("time", "src_ip", "dst_ip", "src_port", "dst_port", "protocol")
+
 _MAX32 = 0xFFFFFFFF
 
 
-def _dst_mask(packets: np.ndarray, prefix: IPv4Prefix) -> np.ndarray:
-    bits = (_MAX32 << (32 - prefix.length)) & _MAX32 if prefix.length else 0
-    return (packets["dst_ip"] & np.uint32(bits)) == np.uint32(prefix.network_int)
+def _distinct_per_cell(cell: np.ndarray, ids: np.ndarray,
+                       n_cells: int) -> np.ndarray:
+    """Number of distinct ``ids`` (< 2**32) per cell, from one sort."""
+    pairs = np.sort((cell.astype(np.uint64) << np.uint64(32))
+                    | ids.astype(np.uint64))
+    first = np.ones(len(pairs), dtype=bool)
+    first[1:] = pairs[1:] != pairs[:-1]
+    return np.bincount((pairs[first] >> np.uint64(32)).astype(np.int64),
+                       minlength=n_cells)
+
+
+def _window_features(columns: Dict[str, np.ndarray], owner: np.ndarray,
+                    window_starts: np.ndarray, n_slots: int = N_SLOTS,
+                    slot: float = SLOT) -> np.ndarray:
+    """The §5.3 feature matrices of many windows, ``(windows, n_slots, 5)``.
+
+    ``columns`` holds the packet fields of :data:`_FIELDS` row by row,
+    ``owner`` each row's window index, ``window_starts`` each window's
+    start.  Rows outside their window's slots are ignored; uniques
+    (flows, sources, ports) are counted per slot.
+    """
+    n_cells = len(window_starts) * n_slots
+    features = np.zeros((n_cells, len(FEATURE_NAMES)), dtype=np.float64)
+    slots = ((columns["time"] - window_starts[owner]) // slot).astype(np.int64)
+    valid = (slots >= 0) & (slots < n_slots)
+    cell = owner[valid] * n_slots + slots[valid]
+    if len(cell):
+        src, dst, sport, dport, proto = (
+            columns[name][valid] for name in _FIELDS[1:])
+        flow_key = (
+            src.astype(np.uint64) * np.uint64(2654435761)
+            ^ (dst.astype(np.uint64) << np.uint64(16))
+            ^ (sport.astype(np.uint64) << np.uint64(32))
+            ^ (dport.astype(np.uint64) << np.uint64(48))
+            ^ proto.astype(np.uint64)
+        )
+        _, flow = np.unique(flow_key, return_inverse=True)
+        non_tcp = proto != 6
+        features[:, 0] = np.bincount(cell, minlength=n_cells)
+        features[:, 1] = _distinct_per_cell(cell, flow, n_cells)
+        features[:, 2] = _distinct_per_cell(cell, src, n_cells)
+        features[:, 3] = _distinct_per_cell(cell, dport, n_cells)
+        features[:, 4] = _distinct_per_cell(cell[non_tcp], flow[non_tcp],
+                                            n_cells)
+    return features.reshape(len(window_starts), n_slots, len(FEATURE_NAMES))
 
 
 def slot_features(packets: np.ndarray, window_start: float,
                   n_slots: int = N_SLOTS, slot: float = SLOT) -> np.ndarray:
-    """The §5.3 feature matrix, ``(n_slots, 5)``.
+    """The §5.3 feature matrix of one window, ``(n_slots, 5)``.
 
     ``packets`` must already be restricted to the traffic of interest.
-    Uniques (flows, sources, ports) are counted per slot.
     """
-    features = np.zeros((n_slots, len(FEATURE_NAMES)), dtype=np.float64)
-    if len(packets) == 0:
-        return features
-    slots = ((packets["time"] - window_start) // slot).astype(np.int64)
-    valid = (slots >= 0) & (slots < n_slots)
-    packets = packets[valid]
-    slots = slots[valid]
-    if len(packets) == 0:
-        return features
-    order = np.argsort(slots, kind="stable")
-    packets, slots = packets[order], slots[order]
-    bounds = np.flatnonzero(np.r_[True, slots[1:] != slots[:-1]])
-    bounds = np.r_[bounds, len(slots)]
-    flow_key = (
-        packets["src_ip"].astype(np.uint64) * np.uint64(2654435761)
-        ^ (packets["dst_ip"].astype(np.uint64) << np.uint64(16))
-        ^ (packets["src_port"].astype(np.uint64) << np.uint64(32))
-        ^ (packets["dst_port"].astype(np.uint64) << np.uint64(48))
-        ^ packets["protocol"].astype(np.uint64)
-    )
-    for b in range(len(bounds) - 1):
-        lo, hi = bounds[b], bounds[b + 1]
-        s = slots[lo]
-        chunk = packets[lo:hi]
-        keys = flow_key[lo:hi]
-        features[s, 0] = hi - lo
-        features[s, 1] = len(np.unique(keys))
-        features[s, 2] = len(np.unique(chunk["src_ip"]))
-        features[s, 3] = len(np.unique(chunk["dst_port"]))
-        non_tcp = chunk["protocol"] != 6
-        features[s, 4] = len(np.unique(keys[non_tcp])) if non_tcp.any() else 0
-    return features
+    columns = {name: packets[name] for name in _FIELDS}
+    return _window_features(columns, np.zeros(len(packets), dtype=np.int64),
+                           np.array([window_start], dtype=np.float64),
+                           n_slots, slot)[0]
 
 
 class PreRTBHClass(str, Enum):
@@ -180,63 +205,92 @@ def classify_pre_rtbh_events(
     events: Sequence[RTBHEvent],
     detector: EWMAAnomalyDetector | None = None,
     anomaly_horizon_min: float = 10.0,
-    window_packets: Optional[Callable[[RTBHEvent], np.ndarray]] = None,
 ) -> PreRTBHClassification:
     """Run the full §5.2–5.3 pipeline over all events.
 
-    ``window_packets`` swaps the pre-window gather (slice + prefix mask)
-    — the columnar engine passes a closure over precomputed row indices
-    returning the exact array the default path would build.
+    An event's result depends only on data *before* ``event.start`` (and
+    the fixed corpus start), so the streaming engine classifies each
+    event once — at the watermark where it first appears — and the
+    outcome never changes as the corpus grows.
     """
     detector = detector or EWMAAnomalyDetector(AnomalyConfig())
-    result = PreRTBHClassification()
     corpus_start = data.start_time if len(data) else 0.0
-    for event in events:
-        window = window_packets(event) if window_packets is not None else None
-        result.events.append(classify_single_event(
-            data, event, detector, corpus_start=corpus_start,
-            anomaly_horizon_min=anomaly_horizon_min, window=window))
+    result = PreRTBHClassification()
+    for lo in range(0, len(events), CHUNK_EVENTS):
+        result.events.extend(_classify_chunk(
+            data, events[lo:lo + CHUNK_EVENTS], detector, corpus_start,
+            anomaly_horizon_min))
     return result
 
 
-def classify_single_event(
-    data: DataPlaneCorpus,
-    event: RTBHEvent,
-    detector: EWMAAnomalyDetector,
-    *,
-    corpus_start: float,
-    anomaly_horizon_min: float = 10.0,
-    window: Optional[np.ndarray] = None,
-) -> PreRTBHEvent:
-    """Classify one event's 72 h pre-window.
+def _pre_window_rows(data: DataPlaneCorpus, events: Sequence[RTBHEvent],
+                     window_starts: np.ndarray) -> List[np.ndarray]:
+    """Per event: the rows of its 72 h pre-window prefix traffic."""
+    starts = np.array([event.start for event in events], dtype=np.float64)
+    lo = np.searchsorted(data.times, window_starts, side="left")
+    hi = np.searchsorted(data.times, starts, side="left")
+    # one contiguous copy of the chunk's destination span (events come
+    # sorted by start): masking the strided record field directly costs
+    # several times more
+    base = int(lo.min())
+    dst = np.ascontiguousarray(data.packets["dst_ip"][base:int(hi.max())])
+    rows = []
+    for event, l, h in zip(events, (lo - base).tolist(), (hi - base).tolist()):
+        prefix = event.prefix
+        bits = (_MAX32 << (32 - prefix.length)) & _MAX32 if prefix.length else 0
+        hit = (dst[l:h] & np.uint32(bits)) == np.uint32(prefix.network_int)
+        rows.append(np.flatnonzero(hit) + (l + base))
+    return rows
 
-    The result depends only on data *before* ``event.start`` (and the
-    fixed ``corpus_start``), so the streaming engine classifies each
-    event exactly once — at the watermark where it first appears — and
-    the outcome never changes as the corpus grows.
 
-    ``window`` supplies the pre-window prefix packets directly (already
-    sliced and masked); default ``None`` computes them from ``data``.
-    """
-    window_start = event.start - PRE_WINDOW
-    if window is None:
-        window = data.slice_time(window_start, event.start)
-        window = window[_dst_mask(window, event.prefix)]
-    total = len(window)
-    if total == 0:
-        return PreRTBHEvent(
-            event_id=event.event_id,
-            classification=PreRTBHClass.NO_DATA,
-            slots_with_data=0, total_packets=0,
-        )
-    features = slot_features(window, window_start)
-    flags = detector.detect_multi(features)
+def _classify_chunk(data: DataPlaneCorpus, events: Sequence[RTBHEvent],
+                    detector: EWMAAnomalyDetector, corpus_start: float,
+                    anomaly_horizon_min: float) -> List[PreRTBHEvent]:
+    """One batch feature pass and one detector run over ``events``."""
+    window_starts = np.array([event.start - PRE_WINDOW for event in events],
+                             dtype=np.float64)
+    rows = _pre_window_rows(data, events, window_starts)
+    totals = [len(r) for r in rows]
+    has_data = [i for i, total in enumerate(totals) if total]
+    picked = np.concatenate(rows)
+    owner = np.repeat(np.arange(len(has_data)),
+                      [totals[i] for i in has_data])
+    columns = {name: (data.times if name == "time"
+                      else data.packets[name])[picked] for name in _FIELDS}
+    features = _window_features(columns, owner, window_starts[has_data])
+    # the row gathers go before the detector allocates its matrices
+    del rows, columns, picked, owner
+    matrix = features.transpose(1, 0, 2).reshape(N_SLOTS, -1)
+    flags = detector.detect(matrix).reshape(N_SLOTS, len(has_data),
+                                            len(FEATURE_NAMES))
+    column_of = {i: j for j, i in enumerate(has_data)}
+    out = []
+    for i, event in enumerate(events):
+        if not totals[i]:
+            out.append(PreRTBHEvent(
+                event_id=event.event_id,
+                classification=PreRTBHClass.NO_DATA,
+                slots_with_data=0, total_packets=0,
+            ))
+            continue
+        j = column_of[i]
+        out.append(_summarize(event, totals[i], features[j], flags[:, j],
+                              float(window_starts[i]), corpus_start,
+                              detector.config.min_window,
+                              anomaly_horizon_min))
+    return out
+
+
+def _summarize(event: RTBHEvent, total: int, features: np.ndarray,
+               flags: np.ndarray, window_start: float, corpus_start: float,
+               min_window: int, anomaly_horizon_min: float) -> PreRTBHEvent:
+    """One event's classification from its features and detector flags."""
     # Slots before the corpus began are *artificially* zero; they must
     # not serve as detection history. Re-apply the full-window rule
     # relative to the first real slot.
     first_real = int(max(0.0, np.ceil((corpus_start - window_start) / SLOT)))
     if first_real > 0:
-        cutoff = min(first_real + detector.config.min_window, N_SLOTS)
+        cutoff = min(first_real + min_window, N_SLOTS)
         flags[:cutoff] = False
     levels = flags.sum(axis=1)
     anomalous = np.flatnonzero(levels > 0)

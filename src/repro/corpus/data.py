@@ -69,8 +69,11 @@ class DataPlaneCorpus:
                     f"bad timestamp {packets['time'][index]!r}")
             report.skipped += n_bad - min(n_bad, 8)
             packets = packets[~bad]
-        order = np.argsort(packets["time"], kind="stable")
-        self._packets = packets[order]
+        self._packets = packets[np.argsort(packets["time"], kind="stable")]
+        # ``searchsorted`` over the strided field view copies it on every
+        # call; selections search this one contiguous copy instead (taken
+        # after the sort order is freed, so ingest peaks no higher)
+        self._times = np.ascontiguousarray(self._packets["time"])
         report.loaded = len(self._packets)
         #: accounting of what construction/loading kept and dropped
         self.ingest_report: IngestReport = report
@@ -81,6 +84,12 @@ class DataPlaneCorpus:
         """The underlying time-sorted record array (do not mutate)."""
         return self._packets
 
+    @property
+    def times(self) -> np.ndarray:
+        """The sorted packet timestamps as one contiguous array (do not
+        mutate)."""
+        return self._times
+
     def __len__(self) -> int:
         return len(self._packets)
 
@@ -88,13 +97,13 @@ class DataPlaneCorpus:
     def start_time(self) -> float:
         if len(self._packets) == 0:
             raise CorpusError("empty data-plane corpus")
-        return float(self._packets["time"][0])
+        return float(self._times[0])
 
     @property
     def end_time(self) -> float:
         if len(self._packets) == 0:
             raise CorpusError("empty data-plane corpus")
-        return float(self._packets["time"][-1])
+        return float(self._times[-1])
 
     # -- selection ------------------------------------------------------------
 
@@ -109,15 +118,13 @@ class DataPlaneCorpus:
 
     def mask_time(self, t0: float, t1: float) -> np.ndarray:
         """Packets with ``t0 <= time < t1`` (fast: the array is sorted)."""
-        lo = np.searchsorted(self._packets["time"], t0, side="left")
-        hi = np.searchsorted(self._packets["time"], t1, side="left")
+        lo, hi = np.searchsorted(self._times, (t0, t1), side="left")
         out = np.zeros(len(self._packets), dtype=bool)
         out[lo:hi] = True
         return out
 
     def slice_time(self, t0: float, t1: float) -> np.ndarray:
-        lo = np.searchsorted(self._packets["time"], t0, side="left")
-        hi = np.searchsorted(self._packets["time"], t1, side="left")
+        lo, hi = np.searchsorted(self._times, (t0, t1), side="left")
         return self._packets[lo:hi]
 
     def select(

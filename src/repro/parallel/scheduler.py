@@ -83,22 +83,18 @@ from repro.runtime.retry import RetryPolicy, is_retryable_exception
 #: journal key prefix for per-analysis terminal outcomes
 ANALYSIS_KEY = "analysis:"
 
-#: relative cost estimates (longest-processing-time-first dispatch);
-#: anything absent weighs 1 — exact values only shape the schedule,
-#: never the results
+#: relative cost estimates (longest-processing-time-first dispatch), in
+#: units of ~40 ms of worker time: the median per-analysis seconds of
+#: three cold ``analyze --jobs 2 --host-min-days 2`` runs on a 2-CPU box
+#: (scale 0.02, 10 days, seed 7); anything absent weighs 1 — exact
+#: values only shape the schedule, never the results
 ANALYSIS_WEIGHTS = {
-    "fig2_time_offset": 6,
-    "fig8_org_types": 5,      # recomputes fig7's source scan internally
-    "fig7_top_sources": 5,
-    "fig4_targeted_visibility": 4,
-    "fig10_merge_sweep": 3,
-    "fig5_drop_by_length": 3,
-    "fig6_drop_cdfs": 3,
-    "fig19_use_cases": 2,
+    "fig2_time_offset": 21,
+    "fig4_targeted_visibility": 11,
+    "sec54_protocol_mix": 3,
+    "table3_amplification": 3,  # recomputes sec54's protocol mix
+    "fig15_participation": 3,
     "fig14_filterable": 2,
-    "fig18_collateral": 2,
-    "table3_amplification": 2,  # recomputes sec54's protocol mix
-    "sec54_protocol_mix": 2,
 }
 
 #: analyses another analysis recomputes internally: the provider is

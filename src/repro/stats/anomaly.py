@@ -60,10 +60,12 @@ class EWMAAnomalyDetector:
         A slot ``t`` is anomalous when
         ``x_t > mean_{t-1} + threshold * sd_{t-1}`` and ``t >= min_window``.
         Flat series (SD of zero) only flag strictly positive jumps above
-        the mean, so a constant series never alarms.
+        the mean, so a constant series never alarms.  A 2-D ``series``
+        holds one series per column (slots along axis 0); each column's
+        flags equal the 1-D call's.
         """
         x = np.asarray(series, dtype=np.float64)
-        flags = np.zeros(len(x), dtype=bool)
+        flags = np.zeros(x.shape, dtype=bool)
         if len(x) < 2:
             return flags
         mean, sd = ewm_mean_std(x, self.config.span)
@@ -87,10 +89,7 @@ class EWMAAnomalyDetector:
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError(f"expected 2-D (slots, features), got {features.shape}")
-        out = np.zeros(features.shape, dtype=bool)
-        for j in range(features.shape[1]):
-            out[:, j] = self.detect(features[:, j])
-        return out
+        return self.detect(features)
 
     def anomaly_level(self, features: np.ndarray) -> np.ndarray:
         """Number of simultaneously anomalous features per slot."""

@@ -24,50 +24,72 @@ _BLOCK = 512
 
 
 def _ewm_numerators(x: np.ndarray, alpha: float) -> np.ndarray:
-    """num_t = sum_{i<=t} (1-alpha)^(t-i) * x_i, computed blockwise."""
+    """num_t = sum_{i<=t} (1-alpha)^(t-i) * x_i, computed blockwise.
+
+    ``x`` may be 2-D: each column is then its own series along axis 0,
+    and every column equals (bit for bit) the 1-D call on that column —
+    the per-element operations and the sequential ``cumsum`` order are
+    the same.
+    """
     decay = 1.0 - alpha
     n = len(x)
     if decay <= 0.0:
         return x.astype(np.float64)
     # Keep decay**-block below ~1e87 so the scaling trick cannot overflow.
     block = int(min(_BLOCK, max(1.0, 200.0 / -np.log(decay))))
-    out = np.empty(n, dtype=np.float64)
-    carry = 0.0
+    out = np.empty(x.shape, dtype=np.float64)
+    carry = np.zeros(x.shape[1:])
+    column = (slice(None),) + (None,) * (x.ndim - 1)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         chunk = x[lo:hi].astype(np.float64)
         k = hi - lo
         # within the block: num_t = decay^t * cumsum(x_i / decay^i) + decay^(t+1) * carry
-        powers = decay ** np.arange(k)
-        scaled = np.cumsum(chunk / powers)
+        powers = (decay ** np.arange(k))[column]
+        scaled = np.cumsum(chunk / powers, axis=0)
         out[lo:hi] = powers * scaled + powers * decay * carry
         carry = out[hi - 1]
     return out
 
 
-def ewm_mean(x: np.ndarray, span: int) -> np.ndarray:
-    """Exponentially weighted moving average with the paper's span
-    convention (``alpha = 2 / (span + 1)``, adjust=True)."""
+def _alpha(span: int) -> float:
     if span < 1:
         raise ValueError(f"span must be >= 1: {span}")
+    return 2.0 / (span + 1.0)
+
+
+def _denominator(x: np.ndarray, alpha: float) -> np.ndarray:
+    """The weight sums shared by every series of ``x``, shaped to
+    broadcast against it."""
+    den = _ewm_numerators(np.ones(len(x)), alpha)
+    return den.reshape((len(x),) + (1,) * (x.ndim - 1))
+
+
+def ewm_mean(x: np.ndarray, span: int) -> np.ndarray:
+    """Exponentially weighted moving average with the paper's span
+    convention (``alpha = 2 / (span + 1)``, adjust=True); a 2-D ``x``
+    holds one series per column."""
+    alpha = _alpha(span)
     x = np.asarray(x, dtype=np.float64)
     if len(x) == 0:
         return x.copy()
-    alpha = 2.0 / (span + 1.0)
-    num = _ewm_numerators(x, alpha)
-    den = _ewm_numerators(np.ones_like(x), alpha)
-    return num / den
+    return _ewm_numerators(x, alpha) / _denominator(x, alpha)
 
 
 def ewm_mean_std(x: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
     """EWM mean and standard deviation with shared weights.
 
     The variance is the biased weighted variance
-    ``E_w[x^2] - (E_w[x])^2``, floored at zero against rounding.
+    ``E_w[x^2] - (E_w[x])^2``, floored at zero against rounding.  A 2-D
+    ``x`` holds one series per column.
     """
+    alpha = _alpha(span)
     x = np.asarray(x, dtype=np.float64)
-    mean = ewm_mean(x, span)
-    mean_sq = ewm_mean(x * x, span)
+    if len(x) == 0:
+        return x.copy(), x.copy()
+    den = _denominator(x, alpha)
+    mean = _ewm_numerators(x, alpha) / den
+    mean_sq = _ewm_numerators(x * x, alpha) / den
     var = mean_sq - mean * mean
     # Cancellation noise: a constant series must yield exactly zero SD.
     var[var < 1e-12 * np.maximum(mean_sq, 1e-300)] = 0.0

@@ -39,13 +39,12 @@ from repro.core.pre_rtbh import (
     PreRTBHClass,
     PreRTBHClassification,
     PreRTBHEvent,
-    classify_single_event,
+    classify_pre_rtbh_events,
 )
 from repro.corpus.control import RTBHAutomaton
 from repro.corpus.data import DataPlaneCorpus
 from repro.errors import AnalysisError, StreamCheckpointError, StreamError
 from repro.net.ip import IPv4Prefix
-from repro.stats.anomaly import AnomalyConfig, EWMAAnomalyDetector
 
 
 class ControlReducer(RTBHAutomaton):
@@ -193,7 +192,7 @@ class TrafficReducer:
 
 
 class PreRTBHReducer:
-    """§5.2–5.3 classification, one event at a time.
+    """§5.2–5.3 classification, each event once.
 
     Classification of an event depends only on (a) data strictly before
     the event start and (b) the fixed corpus start time, both immutable
@@ -213,12 +212,10 @@ class PreRTBHReducer:
                    if ev.event_id not in self.classified]
         if not pending:
             return 0
-        detector = EWMAAnomalyDetector(AnomalyConfig())
-        corpus_start = data.start_time if len(data) else 0.0
-        for event in pending:
-            self.classified[event.event_id] = classify_single_event(
-                data, event, detector, corpus_start=corpus_start,
-                anomaly_horizon_min=self.anomaly_horizon_min)
+        batch = classify_pre_rtbh_events(
+            data, pending, anomaly_horizon_min=self.anomaly_horizon_min)
+        for result in batch.events:
+            self.classified[result.event_id] = result
         return len(pending)
 
     def classification(self, events: Sequence[RTBHEvent],

@@ -189,3 +189,23 @@ class TestFig19:
         _, ddos_median, _ = result.duration_quartiles(
             UseCase.INFRASTRUCTURE_PROTECTION)
         assert zombie_median > 10 * ddos_median
+
+
+class TestWarmSpans:
+    def test_each_shared_intermediate_has_its_own_span(self, tiny_result):
+        from repro import AnalysisPipeline, telemetry
+        from repro.core.pipeline import SHARED_INTERMEDIATES
+
+        pipeline = AnalysisPipeline(tiny_result.control, tiny_result.data,
+                                    peer_asns=tiny_result.ixp.member_asns)
+        telem = telemetry.Telemetry()
+        with telemetry.activate(telem):
+            with telem.span("analyze.warm_caches"):
+                pipeline.warm_shared_caches()
+        records = {r["name"]: r for r in telem.tracer.records}
+        parent = records["analyze.warm_caches"]["span_id"]
+        for name in SHARED_INTERMEDIATES:
+            span = records["analyze.warm." + name]
+            assert span["parent_id"] == parent
+            assert span["error"] is None
+            assert name in vars(pipeline)  # built, cached on the pipeline

@@ -88,3 +88,41 @@ class TestEWMStd:
         x = rng.normal(10.0, 2.0, size=20_000)
         _, sd = ewm_mean_std(x, span=288)
         assert abs(sd[-1] - 2.0) < 0.4
+
+
+class TestAxisZeroForm:
+    """A 2-D input is one series per column, each bit-equal to the 1-D
+    call — the batched §5.3 pass depends on it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=1_300),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=400),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    def test_columns_equal_the_1d_call(self, n, columns, span, seed):
+        from repro.stats import AnomalyConfig, EWMAAnomalyDetector
+        from repro.stats.ewma import _ewm_numerators
+
+        rng = np.random.default_rng(seed)
+        # sparse counts, a constant column and a wide-range column
+        x = rng.poisson(0.5, (n, columns)) * rng.integers(1, 1_000, columns)
+        x = x.astype(np.float64)
+        x[:, 0] = 3.0
+        x[:, -1] *= rng.random(n) * 1e6
+        alpha = 2.0 / (span + 1.0)
+        detector = EWMAAnomalyDetector(AnomalyConfig(span=span))
+        numerators = _ewm_numerators(x, alpha)
+        mean, sd = ewm_mean_std(x, span)
+        mean_only = ewm_mean(x, span)
+        flags = detector.detect(x)
+        for j in range(columns):
+            column = np.ascontiguousarray(x[:, j])
+            assert np.array_equal(numerators[:, j],
+                                  _ewm_numerators(column, alpha))
+            m, s = ewm_mean_std(column, span)
+            assert np.array_equal(mean[:, j], m)
+            assert np.array_equal(sd[:, j], s)
+            assert np.array_equal(mean_only[:, j], ewm_mean(column, span))
+            assert np.array_equal(flags[:, j], detector.detect(column))
